@@ -156,20 +156,6 @@ def block_convs(block: BlockKind, c_in: float, c_out: float, kernel: int,
     raise ValueError(f"unknown block kind {block.kind!r}")
 
 
-def convs_per_block(block: BlockKind, shortcut: bool) -> int:
-    """Main-path conv count, used by sizing heuristics."""
-    if block.kind == PLAIN:
-        return 1
-    if block.kind == RESNET_BASIC:
-        return 2 + (1 if shortcut else 0)
-    if block.kind == RESNET_BOTTLENECK:
-        return 3 + (1 if shortcut else 0)
-    if block.kind == MOBILENET_V2_SE:
-        n = 2 if block.expansion == 1 else 3
-        return n + (2 if block.se_reduction is not None else 0)
-    raise ValueError(f"unknown block kind {block.kind!r}")
-
-
 def halve(resolution: int) -> int:
     """Stride-two output side, ceil division (same-padding convention)."""
     return math.ceil(resolution / 2)

@@ -28,7 +28,7 @@ from .fileio import (
 from .metrics import metric_report
 from .model import NetworkSpec, ValidationError, validate
 from .solver import SolveOptions, solve
-from .variance import SimulationConfig, mean_check, simulate_mlp_variance
+from .variance import SimulationConfig, check_variance_law
 
 _PROBLEM_DIR = "entromax.data.problems"
 
@@ -86,9 +86,10 @@ def _conventions(args) -> Conventions:
     return with_flags(conv, **overrides) if overrides else conv
 
 
-def _alphas(args, stages: int) -> list[float]:
+def _alphas(args, stages: int) -> list[float] | None:
+    """--alphas as a list, or None for `metric_report`'s default."""
     if args.alphas is None:
-        return [1.0] * (stages - 1) + [8.0] if stages > 1 else [1.0]
+        return None
     try:
         alphas = [float(a) for a in args.alphas.split(",")]
     except ValueError:
@@ -160,11 +161,7 @@ def cmd_compare(args) -> int:
     net_a = _load_network(args.arch_a, args.allow_unknown)
     net_b = _load_network(args.arch_b, args.allow_unknown)
     conv = _conventions(args)
-    rows = []
-    for name, net in (("a", net_a), ("b", net_b)):
-        alphas = [1.0] * (len(net.stages) - 1) + [8.0] if len(net.stages) > 1 else [1.0]
-        rows.append(metric_report(net, alphas, conv))
-    a, b = rows
+    a, b = (metric_report(net, None, conv) for net in (net_a, net_b))
     fields = [
         ("weighted_entropy", a.weighted_entropy, b.weighted_entropy),
         ("rho", a.rho, b.rho),
@@ -176,8 +173,8 @@ def cmd_compare(args) -> int:
         doc = {
             "format": "entromax-compare",
             "version": 1,
-            "a": metrics_to_dict(a),
-            "b": metrics_to_dict(b),
+            "a": metrics_to_dict(a, conv),
+            "b": metrics_to_dict(b, conv),
             "delta": {name: vb - va for name, va, vb in fields},
         }
         sys.stdout.write(dumps(doc))
@@ -199,8 +196,7 @@ def cmd_verify_variance(args) -> int:
     cfg = SimulationConfig(widths=widths, n_samples=args.samples,
                            seed=args.seed, out_width=args.out_width,
                            quenched=args.quenched, threads=args.threads)
-    var_report = simulate_mlp_variance(cfg)
-    mean_report = mean_check(cfg)
+    var_report, mean_report = check_variance_law(cfg)
     ok = var_report.passed and mean_report.passed
     if args.json:
         doc = {
@@ -242,8 +238,9 @@ def cmd_catalog(args) -> int:
     except KeyError as exc:
         _fail(str(exc), 2)
     if args.analyze:
-        report = metric_report(entry.spec, None, _conventions(args))
-        sys.stdout.write(dumps(metrics_to_dict(report)))
+        conv = _conventions(args)
+        report = metric_report(entry.spec, None, conv)
+        sys.stdout.write(dumps(metrics_to_dict(report, conv)))
     else:
         sys.stdout.write(dumps(network_to_dict(entry.spec)))
     return 0

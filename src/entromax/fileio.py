@@ -68,18 +68,29 @@ def block_from_dict(obj: dict, where: str, allow_unknown: bool = False) -> Block
     return BlockKind(kind=obj["kind"], **kwargs)
 
 
+def _stem_to_dict(stem: StemSpec) -> dict:
+    return {"channels": stem.channels, "kernel": stem.kernel,
+            "stride": stem.stride, "pool": stem.pool}
+
+
+def _stem_from_dict(obj: dict, allow_unknown: bool) -> StemSpec:
+    _require_keys(obj, {"channels", "kernel", "stride", "pool"},
+                  {"channels"}, "stem", allow_unknown)
+    return StemSpec(
+        channels=obj["channels"],
+        kernel=obj.get("kernel", 3),
+        stride=obj.get("stride", 2),
+        pool=obj.get("pool", False),
+    )
+
+
 def network_to_dict(net: NetworkSpec) -> dict:
     return {
         "format": ARCHITECTURE_FORMAT,
         "version": FORMAT_VERSION,
         "input_resolution": net.input_resolution,
         "num_classes": net.num_classes,
-        "stem": {
-            "channels": net.stem.channels,
-            "kernel": net.stem.kernel,
-            "stride": net.stem.stride,
-            "pool": net.stem.pool,
-        },
+        "stem": _stem_to_dict(net.stem),
         "stages": [
             {
                 "block": block_to_dict(s.block),
@@ -103,15 +114,7 @@ def network_from_dict(obj: dict, allow_unknown: bool = False) -> NetworkSpec:
          "stages", "head_channels"},
         {"format", "version", "input_resolution", "stem", "stages"},
         "architecture", allow_unknown)
-    stem_obj = obj["stem"]
-    _require_keys(stem_obj, {"channels", "kernel", "stride", "pool"},
-                  {"channels"}, "stem", allow_unknown)
-    stem = StemSpec(
-        channels=stem_obj["channels"],
-        kernel=stem_obj.get("kernel", 3),
-        stride=stem_obj.get("stride", 2),
-        pool=stem_obj.get("pool", False),
-    )
+    stem = _stem_from_dict(obj["stem"], allow_unknown)
     stages = []
     for i, s in enumerate(obj["stages"]):
         where = f"stage {i}"
@@ -171,12 +174,7 @@ def problem_to_dict(prob) -> dict:
         "width_granularity": prob.width_granularity,
         "kernel": prob.kernel,
         "groups": prob.groups,
-        "stem": {
-            "channels": prob.stem.channels,
-            "kernel": prob.stem.kernel,
-            "stride": prob.stem.stride,
-            "pool": prob.stem.pool,
-        },
+        "stem": _stem_to_dict(prob.stem),
         "head_channels": prob.head_channels,
     }
 
@@ -195,9 +193,7 @@ def problem_from_dict(obj: dict, allow_unknown: bool = False):
          "max_flops", "max_params", "input_resolution",
          "downsample_schedule", "width_bounds", "depth_bounds"},
         "problem", allow_unknown)
-    stem_obj = obj.get("stem", {"channels": 32})
-    _require_keys(stem_obj, {"channels", "kernel", "stride", "pool"},
-                  {"channels"}, "stem", allow_unknown)
+    stem = _stem_from_dict(obj.get("stem", {"channels": 32}), allow_unknown)
     prob = ProblemSpec(
         block=block_from_dict(obj["block"], "block", allow_unknown),
         stages=obj["stages"],
@@ -214,12 +210,7 @@ def problem_from_dict(obj: dict, allow_unknown: bool = False):
         width_granularity=obj.get("width_granularity", 8),
         kernel=obj.get("kernel", 3),
         groups=obj.get("groups", 1),
-        stem=StemSpec(
-            channels=stem_obj["channels"],
-            kernel=stem_obj.get("kernel", 3),
-            stride=stem_obj.get("stride", 2),
-            pool=stem_obj.get("pool", False),
-        ),
+        stem=stem,
         head_channels=obj.get("head_channels"),
     )
     prob.check()

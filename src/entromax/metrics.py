@@ -213,10 +213,15 @@ def monotone_width_check(net: NetworkSpec) -> bool:
 
 def metric_report(net: NetworkSpec, alphas: Sequence[float] | None = None,
                   conventions: Conventions = PINNED) -> MetricReport:
-    """One-pass computation of the full report (single expansion)."""
+    """One-pass computation of the full report (single expansion).
+
+    Alphas default to (1, ..., 1, 8), the last stage's entropy weighted
+    eight times; a single stage gets weight 1.
+    """
     layers = expand(net)
     if alphas is None:
-        alphas = [1.0] * len(net.stages)
+        m = len(net.stages)
+        alphas = [1.0] * (m - 1) + [8.0] if m > 1 else [1.0]
     weighted, per_stage = weighted_entropy(net, alphas, conventions, layers=layers)
     path = entropy_path(layers, conventions)
     widths = tuple(projected_width(l) for l in path)

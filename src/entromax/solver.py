@@ -4,6 +4,13 @@ The program: maximize sum_i alpha_i * H_i - beta * Q over per-stage
 widths and depths, subject to effectiveness <= rho0, FLOPs and parameter
 budgets, and non-decreasing stage widths.
 
+Every candidate is costed by one stage-separable model: each stage is a
+first block plus depth - 1 repeat blocks, so params, FLOPs and entropy
+are sums of a few memoized per-block terms instead of a walk over the
+expanded layer list.  Its exact branch serves every discrete evaluation
+and matches `metrics` over `model.expand`, the reference analyzer the
+tests hold it to; its relaxed branch takes real widths and depths.
+
 Solution method (no external solver dependency, validated against the
 brute-force oracle below):
 
@@ -29,6 +36,7 @@ depths), so parallel and sequential runs return identical results.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -37,23 +45,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import ROLE_MAIN, ROLE_SHORTCUT, BlockKind, block_convs
+from .blocks import (
+    ROLE_CLASSIFIER,
+    ROLE_HEAD,
+    ROLE_MAIN,
+    ROLE_SHORTCUT,
+    ROLE_STEM,
+    BlockKind,
+    ConvPlan,
+    block_convs,
+)
 from .conventions import PINNED, Conventions
-from .metrics import (
-    _layer_flops,
-    _layer_params,
-    depth_uniformity_penalty,
-    effectiveness,
-    weighted_entropy,
-)
-from .model import (
-    NetworkSpec,
-    StageSpec,
-    StemSpec,
-    expand,
-    halve,
-    resolve_rows,
-)
+from .metrics import depth_uniformity_penalty
+from .model import NetworkSpec, StageSpec, StemSpec, halve, resolve_rows
 
 __all__ = [
     "ProblemSpec",
@@ -208,26 +212,23 @@ def _granular_bounds(prob: ProblemSpec) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def _in_bounds(cand: Candidate, prob: ProblemSpec) -> str | None:
-    for i, (w, (lo, hi)) in enumerate(zip(cand.widths, prob.width_bounds)):
-        if not (lo <= w <= hi):
-            return f"stage {i}: width {w} outside [{lo}, {hi}]"
-        if w % prob.width_granularity != 0:
-            return f"stage {i}: width {w} is not a multiple of {prob.width_granularity}"
-    for i, (d, (lo, hi)) in enumerate(zip(cand.depths, prob.depth_bounds)):
-        if not (lo <= d <= hi):
-            return f"stage {i}: depth {d} outside [{lo}, {hi}]"
-    return None
+def _check_candidate(cand: Candidate, prob: ProblemSpec) -> None:
+    """Raise ValueError unless the candidate is a lattice point of the problem."""
+    if len(cand.widths) != prob.stages or len(cand.depths) != prob.stages:
+        raise ValueError("candidate arity does not match the problem's stage count")
+    g = prob.width_granularity
+    for i, (w, d) in enumerate(zip(cand.widths, cand.depths)):
+        (w_lo, w_hi), (d_lo, d_hi) = prob.width_bounds[i], prob.depth_bounds[i]
+        if not (w_lo <= w <= w_hi and w % g == 0 and d_lo <= d <= d_hi):
+            raise ValueError(
+                f"candidate outside problem bounds: stage {i}: width {w} must be a "
+                f"multiple of {g} in [{w_lo}, {w_hi}], depth {d} in [{d_lo}, {d_hi}]")
 
 
 def realize(cand: Candidate, prob: ProblemSpec) -> NetworkSpec:
     """Deterministic network for a candidate under the problem's fixed
     stem, head, block kind and downsample schedule."""
-    if len(cand.widths) != prob.stages or len(cand.depths) != prob.stages:
-        raise ValueError("candidate arity does not match the problem's stage count")
-    bad = _in_bounds(cand, prob)
-    if bad is not None:
-        raise ValueError(f"candidate outside problem bounds: {bad}")
+    _check_candidate(cand, prob)
     stages = tuple(
         StageSpec(block=prob.block, depth=cand.depths[i], width=cand.widths[i],
                   kernel=prob.kernel, groups=prob.groups,
@@ -243,29 +244,156 @@ def realize(cand: Candidate, prob: ProblemSpec) -> NetworkSpec:
     )
 
 
+class _StageModel:
+    """Stage-separable costs of one problem's candidates under one
+    convention set.
+
+    A stage is its first block followed by depth - 1 copies of its repeat
+    block, so params, FLOPs, signal-path length and the stage's sum of log
+    projected widths are each a(c_prev, c) + (d - 1) * b(c).  Only the
+    stem, each stage's first and repeat block, the head and the classifier
+    are costed, as conv rows from `block_convs` and `resolve_rows`.
+
+    Integer widths take the exact branch, which counts `c_in // groups`
+    and the floored squeeze-excite width as `expand` and `metrics` do; its
+    block costs are memoized.  Float widths take the relaxed branch the
+    continuous ascent climbs: true division and a smooth squeeze-excite
+    width.  Tests hold the exact branch to `metric_report` over `expand`.
+    """
+
+    def __init__(self, prob: ProblemSpec, conventions: Conventions):
+        self.prob = prob
+        self.conv = conventions
+        self.path = {ROLE_MAIN}
+        if conventions.entropy_include_stem:
+            self.path.add(ROLE_STEM)
+        if conventions.entropy_include_shortcut:
+            self.path.add(ROLE_SHORTCUT)
+        self.memo: dict = {}
+
+        stem = prob.stem
+        r = prob.input_resolution
+        r_stem = halve(r) if stem.stride == 2 else r
+        # three input channels, as in every network `realize` builds
+        stem_conv = ConvPlan(3, stem.channels, stem.kernel, 1, stem.stride,
+                             ROLE_STEM, True, False)
+        self.stem = self._row_costs([(stem_conv, r, r_stem)], exact=True)
+        r = halve(r_stem) if stem.pool else r_stem
+        self.r_in: list[int] = []
+        self.r_out: list[int] = []
+        for downsample in prob.downsample_schedule:
+            self.r_in.append(r)
+            if downsample:
+                r = halve(r)
+            self.r_out.append(r)
+
+    def _row_costs(self, rows, exact: bool):
+        """(params, flops, sum of log projected widths, path convs) of conv rows."""
+        conv = self.conv
+        params = flops = n_path = 0
+        logw = 0.0
+        for plan, _, r_out in rows:
+            c_in = plan.c_in // plan.groups if exact else plan.c_in / plan.groups
+            weights = plan.c_out * c_in * plan.kernel ** 2
+            area = r_out * r_out
+            params += weights
+            flops += weights * area
+            if plan.has_bn:
+                if conv.params_include_bn:
+                    params += 2 * plan.c_out
+                flops += conv.flops_bn_cost * plan.c_out * area
+            if plan.has_bias:
+                params += plan.c_out
+            if plan.role in self.path:
+                w = plan.c_in * plan.kernel ** 2 / plan.groups
+                if w < 1:
+                    raise ValueError(f"projected width {w} below 1 has no entropy")
+                logw += math.log(w)
+                n_path += 1
+        return params, flops, logw, n_path
+
+    def _block(self, i: int, c_in, c, first: bool, exact: bool):
+        key = (i, c_in, c, first)
+        costs = self.memo.get(key) if exact else None
+        if costs is None:
+            prob = self.prob
+            stride = 2 if first and prob.downsample_schedule[i] else 1
+            plans = block_convs(prob.block, c_in, c, prob.kernel, prob.groups,
+                                stride, exact=exact)
+            rows, _ = resolve_rows(plans, self.r_in[i] if first else self.r_out[i])
+            costs = self._row_costs(rows, exact)
+            if exact:
+                self.memo[key] = costs
+        return costs
+
+    def costs(self, widths, depths, exact: bool):
+        """(weighted entropy, rho, params, flops, stage params, stage flops)."""
+        prob = self.prob
+        params, flops, stem_logw, n_path = self.stem
+        stage_params = []
+        stage_flops = []
+        stage_logw = []
+        c_prev = prob.stem.channels
+        for i, (c, d) in enumerate(zip(widths, depths)):
+            p1, f1, l1, n1 = self._block(i, c_prev, c, True, exact)
+            p2, f2, l2, n2 = self._block(i, c, c, False, exact)
+            k = d - 1
+            stage_params.append(p1 + k * p2)
+            stage_flops.append(f1 + k * f2)
+            stage_logw.append(l1 + k * l2)
+            n_path += n1 + k * n2
+            c_prev = c
+        tail = []  # the head conv, if any, and the classifier
+        if prob.head_channels is not None:
+            r = self.r_out[-1]
+            tail.append((ConvPlan(c_prev, prob.head_channels, 1, 1, 1, ROLE_HEAD,
+                                  True, False), r, r))
+            c_prev = prob.head_channels
+        tail.append((ConvPlan(c_prev, prob.num_classes, 1, 1, 1, ROLE_CLASSIFIER,
+                              False, True), 1, 1))
+        p_tail, f_tail, _, _ = self._row_costs(tail, exact)
+        params += sum(stage_params) + p_tail
+        flops += sum(stage_flops) + f_tail
+
+        stage_logw[0] = stem_logw + stage_logw[0]  # the stem counts toward stage 0
+        cumulative = list(itertools.accumulate(stage_logw))
+        rho = n_path / math.exp(cumulative[-1] / n_path)
+        sums = stage_logw if self.conv.stagewise_entropy else cumulative
+        weighted = 0.0
+        for i, (alpha, c) in enumerate(zip(prob.alphas, widths)):
+            weighted += alpha * math.log(self.r_out[i] ** 2 * c) * sums[i]
+        return weighted, rho, params, flops, stage_params, stage_flops
+
+    def penalized(self, widths, depths, mu: float, tol: float):
+        """(objective - mu * exterior penalty, objective) of the relaxed branch;
+        budget excess below `tol` relative is free."""
+        prob = self.prob
+        weighted, rho, params, flops, _, _ = self.costs(widths, depths, exact=False)
+        obj = weighted - prob.beta * depth_uniformity_penalty(depths)
+        pen = 0.0
+        for usage, budget in ((rho, prob.rho0), (flops, float(prob.max_flops)),
+                              (params, float(prob.max_params))):
+            excess = max(0.0, usage / budget - 1.0 - tol)
+            pen += excess * excess
+        return obj - mu * pen, obj
+
+
+@functools.lru_cache(maxsize=8)
+def _model(prob: ProblemSpec, conventions: Conventions) -> _StageModel:
+    """One model, and so one block memo, per (problem, conventions)."""
+    return _StageModel(prob, conventions)
+
+
 def evaluate(cand: Candidate, prob: ProblemSpec,
              conventions: Conventions = PINNED) -> CandidateEval:
-    """Authoritative discrete evaluation: metrics recomputed from the
-    realized network in a single expansion pass."""
-    net = realize(cand, prob)
-    layers = expand(net, check=False)
-    weighted, _ = weighted_entropy(net, prob.alphas, conventions, layers=layers)
+    """Authoritative discrete evaluation: the exact branch of the
+    stage-separable model, which counts what `metric_report` counts over
+    the realized network's expansion."""
+    _check_candidate(cand, prob)
+    weighted, rho, params, flops, stage_params, stage_flops = _model(
+        prob, conventions).costs(cand.widths, cand.depths, exact=True)
     q = depth_uniformity_penalty(cand.depths)
-    rho = effectiveness(net, conventions, layers=layers)
     monotone = all(a <= b for a, b in zip(cand.widths, cand.widths[1:]))
-
-    params = 0
-    flops = 0
-    stage_params = [0] * prob.stages
-    stage_flops = [0] * prob.stages
-    for layer in layers:
-        lp = _layer_params(layer, conventions)
-        lf = _layer_flops(layer, conventions)
-        params += lp
-        flops += lf
-        if layer.stage is not None:
-            stage_params[layer.stage] += lp
-            stage_flops[layer.stage] += lf
 
     slacks = {
         "rho": prob.rho0 - rho,
@@ -324,6 +452,15 @@ def _better(a: tuple[Candidate, CandidateEval],
     return ca.depths < cb.depths
 
 
+def _binding(ev: CandidateEval, prob: ProblemSpec) -> tuple[str, float]:
+    """The candidate's largest violation relative to its bound, as
+    (constraint name, violation / bound), so counts compare with rho."""
+    scale = {"rho": prob.rho0, "flops": prob.max_flops,
+             "params": prob.max_params, "monotone": 1.0}
+    return max(((k, v / scale[k]) for k, v in ev.violations.items()),
+               key=lambda kv: kv[1])
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
@@ -365,11 +502,7 @@ def brute_force(prob: ProblemSpec, conventions: Conventions = PINNED,
                 if best is None or _better(entry, best):
                     best = entry
             else:
-                scale = {"rho": prob.rho0, "flops": prob.max_flops,
-                         "params": prob.max_params, "monotone": 1.0}
-                name, rel = max(
-                    ((k, v / scale[k]) for k, v in ev.violations.items()),
-                    key=lambda kv: kv[1])
+                name, rel = _binding(ev, prob)
                 if tightest is None or rel < tightest[0]:
                     tightest = (rel, name)
     if best is None:
@@ -414,132 +547,7 @@ def _monotone_box(widths, lo_eff, hi_eff) -> list[float]:
     return out
 
 
-class _Relaxed:
-    """Continuous surrogate of the discrete evaluation.
-
-    Mirrors the block expansion with real-valued widths and depths: the
-    first block of a stage is costed explicitly and the remaining
-    (depth - 1) blocks scale the uniform-block cost, which is exact for
-    integer depths.  Squeeze-excite channel flooring is smoothed; that
-    detail is far below the rounding granularity.
-    """
-
-    def __init__(self, prob: ProblemSpec, conventions: Conventions = PINNED):
-        self.prob = prob
-        self.conv = conventions
-        r = prob.input_resolution
-        self.r_stem_out = halve(r) if prob.stem.stride == 2 else r
-        r = self.r_stem_out
-        if prob.stem.pool:
-            r = halve(r)
-        self.r_stage_in = []
-        self.r_stage = []
-        for ds in prob.downsample_schedule:
-            self.r_stage_in.append(r)
-            if ds:
-                r = halve(r)
-            self.r_stage.append(r)
-
-    def _row_costs(self, rows):
-        params = 0.0
-        flops = 0.0
-        logw = 0.0
-        n_path = 0.0
-        for plan, _, r_out in rows:
-            weights = plan.c_out * (plan.c_in / plan.groups) * plan.kernel ** 2
-            params += weights
-            if plan.has_bn and self.conv.params_include_bn:
-                params += 2 * plan.c_out
-            if plan.has_bias:
-                params += plan.c_out
-            area = r_out * r_out
-            flops += weights * area
-            if plan.has_bn:
-                flops += self.conv.flops_bn_cost * plan.c_out * area
-            in_path = plan.role == ROLE_MAIN or (
-                plan.role == ROLE_SHORTCUT and self.conv.entropy_include_shortcut)
-            if in_path:
-                logw += math.log(plan.c_in * plan.kernel ** 2 / plan.groups)
-                n_path += 1
-        return params, flops, logw, n_path
-
-    def evaluate(self, widths, depths):
-        prob = self.prob
-        conv = self.conv
-        params = 0.0
-        flops = 0.0
-        n_path = 0.0
-        logw_total = 0.0
-        logw_stage = [0.0] * prob.stages
-
-        stem = prob.stem
-        w_stem = 3 * stem.kernel ** 2
-        params += stem.channels * w_stem + (2 * stem.channels if conv.params_include_bn else 0)
-        flops += (stem.channels * w_stem + conv.flops_bn_cost * stem.channels) \
-            * self.r_stem_out ** 2
-        if conv.entropy_include_stem:
-            logw_stage[0] += math.log(w_stem)
-            logw_total += math.log(w_stem)
-            n_path += 1
-
-        c_prev = float(stem.channels)
-        for i in range(prob.stages):
-            c = float(widths[i])
-            depth = float(depths[i])
-            stride = 2 if prob.downsample_schedule[i] else 1
-            first_plans = block_convs(prob.block, c_prev, c, prob.kernel,
-                                      prob.groups, stride, exact=False)
-            first_rows, _ = resolve_rows(first_plans, self.r_stage_in[i])
-            p1, f1, l1, n1 = self._row_costs(first_rows)
-            rest_plans = block_convs(prob.block, c, c, prob.kernel,
-                                     prob.groups, 1, exact=False)
-            rest_rows, _ = resolve_rows(rest_plans, self.r_stage[i])
-            p2, f2, l2, n2 = self._row_costs(rest_rows)
-            k = depth - 1.0
-            params += p1 + k * p2
-            flops += f1 + k * f2
-            logw_stage[i] += l1 + k * l2
-            logw_total += l1 + k * l2
-            n_path += n1 + k * n2
-            c_prev = c
-
-        feat = c_prev
-        if prob.head_channels is not None:
-            hp = prob.head_channels * feat
-            params += hp + (2 * prob.head_channels if conv.params_include_bn else 0)
-            flops += (hp + conv.flops_bn_cost * prob.head_channels) * self.r_stage[-1] ** 2
-            feat = float(prob.head_channels)
-        params += prob.num_classes * feat + prob.num_classes
-        flops += prob.num_classes * feat
-
-        rho = n_path / math.exp(logw_total / n_path)
-        if not conv.stagewise_entropy:
-            acc = 0.0
-            for i in range(prob.stages):
-                acc += logw_stage[i]
-                logw_stage[i] = acc
-        weighted = 0.0
-        for i in range(prob.stages):
-            weighted += prob.alphas[i] * math.log(
-                self.r_stage[i] ** 2 * widths[i]) * logw_stage[i]
-        depths_arr = list(depths)
-        mean = sum(depths_arr) / len(depths_arr)
-        q = math.exp(sum((d - mean) ** 2 for d in depths_arr) / len(depths_arr))
-        obj = weighted - prob.beta * q
-        return obj, rho, params, flops
-
-    def penalized(self, widths, depths, mu, tol):
-        obj, rho, params, flops = self.evaluate(widths, depths)
-        pen = 0.0
-        for usage, budget in ((rho, self.prob.rho0),
-                              (flops, float(self.prob.max_flops)),
-                              (params, float(self.prob.max_params))):
-            excess = max(0.0, usage / budget - 1.0 - tol)
-            pen += excess * excess
-        return obj - mu * pen, obj
-
-
-def _continuous_ascent(relaxed: _Relaxed, prob: ProblemSpec, opts: SolveOptions,
+def _continuous_ascent(model: _StageModel, prob: ProblemSpec, opts: SolveOptions,
                        w0, d0, mu: float):
     lo_g, hi_g = _granular_bounds(prob)
     lo_w = [float(v) for v in lo_g]
@@ -549,7 +557,7 @@ def _continuous_ascent(relaxed: _Relaxed, prob: ProblemSpec, opts: SolveOptions,
 
     w = _monotone_box(w0, lo_w, hi_w)
     d = [min(max(float(v), lo_d[i]), hi_d[i]) for i, v in enumerate(d0)]
-    best, _ = relaxed.penalized(w, d, mu, opts.penalty_tolerance)
+    best, _ = model.penalized(w, d, mu, opts.penalty_tolerance)
 
     step = opts.step_init
     m = prob.stages
@@ -572,8 +580,8 @@ def _continuous_ascent(relaxed: _Relaxed, prob: ProblemSpec, opts: SolveOptions,
                     trial_d = list(d)
                     trial_d[k] = min(max(trial_d[k] + sign * step * span,
                                          lo_d[k]), hi_d[k])
-                score, _ = relaxed.penalized(trial_w, trial_d, mu,
-                                             opts.penalty_tolerance)
+                score, _ = model.penalized(trial_w, trial_d, mu,
+                                           opts.penalty_tolerance)
                 if score > best:
                     best = score
                     w, d = list(trial_w), list(trial_d)
@@ -786,10 +794,10 @@ def _run_restart(prob: ProblemSpec, opts: SolveOptions,
         # discrete search's start diversity
         ascend = restart < 3 or restart % 2 == 0
         if ascend:
-            relaxed = _Relaxed(prob, conventions)
-            mu0 = 10.0 * (1.0 + abs(relaxed.evaluate(w0, d0)[0]))
+            model = _model(prob, conventions)
+            mu0 = 10.0 * (1.0 + abs(model.penalized(w0, d0, 0.0, 0.0)[1]))
             mu = mu0 * (2.0 ** restart)
-            w, d = _continuous_ascent(relaxed, prob, opts, w0, d0, mu)
+            w, d = _continuous_ascent(model, prob, opts, w0, d0, mu)
             note["mu"] = mu
         else:
             w, d = w0, d0
@@ -856,7 +864,7 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
                 slacks=ev.slacks, restarts_used=opts.restarts,
                 evaluations=evaluations, wall_time=wall,
                 budget_exhausted=True, trace=trace)
-        binding = max(ev.violations, key=lambda k: ev.violations[k])
+        binding, _ = _binding(ev, prob)
         return SolveReport(
             best=None, objective=-math.inf, feasible=False, slacks=ev.slacks,
             restarts_used=opts.restarts, evaluations=evaluations,

@@ -28,6 +28,7 @@ __all__ = [
     "log_theoretical_variance",
     "simulate_mlp_variance",
     "mean_check",
+    "check_variance_law",
 ]
 
 _CHUNK = 8192
@@ -162,11 +163,11 @@ def _simulate(cfg: SimulationConfig) -> tuple[float, float, float, float]:
     return mean, var, m4, stderr
 
 
-def simulate_mlp_variance(cfg: SimulationConfig) -> VarianceReport:
-    """Empirical variance of the first output coordinate vs the product law."""
+def check_variance_law(cfg: SimulationConfig) -> tuple[VarianceReport, MeanReport]:
+    """The variance and zero-mean reports from one simulation pass."""
+    mean, var, _, stderr = _simulate(cfg)
     theory = theoretical_variance(cfg.widths)
-    _, var, _, stderr = _simulate(cfg)
-    return VarianceReport(
+    variance = VarianceReport(
         theoretical=theory,
         log_theoretical=log_theoretical_variance(cfg.widths),
         empirical=var,
@@ -176,12 +177,17 @@ def simulate_mlp_variance(cfg: SimulationConfig) -> VarianceReport:
         seed=cfg.seed,
         passed=abs(var - theory) <= 5 * stderr,
     )
+    bound = 4.0 * math.sqrt(theory) / math.sqrt(cfg.n_samples)
+    zero_mean = MeanReport(mean=mean, bound=bound, n_samples=cfg.n_samples,
+                           seed=cfg.seed, passed=abs(mean) <= bound)
+    return variance, zero_mean
+
+
+def simulate_mlp_variance(cfg: SimulationConfig) -> VarianceReport:
+    """Empirical variance of the first output coordinate vs the product law."""
+    return check_variance_law(cfg)[0]
 
 
 def mean_check(cfg: SimulationConfig) -> MeanReport:
     """Zero-mean law: |empirical mean| <= 4 sigma / sqrt(n)."""
-    mean, _, _, _ = _simulate(cfg)
-    sigma = math.sqrt(theoretical_variance(cfg.widths))
-    bound = 4.0 * sigma / math.sqrt(cfg.n_samples)
-    return MeanReport(mean=mean, bound=bound, n_samples=cfg.n_samples,
-                      seed=cfg.seed, passed=abs(mean) <= bound)
+    return check_variance_law(cfg)[1]

@@ -7,6 +7,7 @@ import pytest
 from entromax.cli import main
 from entromax.fileio import dumps, network_to_dict, problem_to_dict
 from entromax.catalog import reference
+from entromax.conventions import PINNED
 
 from conftest import tiny_problem
 
@@ -200,6 +201,14 @@ def test_catalog_analyze(capsys):
     code, out, _ = run_cli(["catalog", "efficientnet_b0", "--analyze"], capsys)
     assert code == 0
     assert json.loads(out)["rho"] == pytest.approx(0.6, abs=0.1)
+
+
+def test_catalog_analyze_matches_analyze(capsys):
+    _, catalog_out, _ = run_cli(["catalog", "resnet50", "--analyze"], capsys)
+    _, analyze_out, _ = run_cli(["analyze", "resnet50"], capsys)
+    catalog_doc, analyze_doc = json.loads(catalog_out), json.loads(analyze_out)
+    assert catalog_doc["weighted_entropy"] == analyze_doc["weighted_entropy"]
+    assert catalog_doc["conventions"] == analyze_doc["conventions"] == PINNED.fingerprint()
 
 
 def test_calibrate_passes_and_writes(tmp_path, capsys):

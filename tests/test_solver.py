@@ -1,18 +1,23 @@
 import dataclasses
-import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_problem
 from entromax.blocks import BlockKind
 from entromax.catalog import reference
+from entromax.conventions import all_conventions
 from entromax.metrics import (
     count_flops,
     count_params,
     depth_uniformity_penalty,
+    effectiveness,
+    flops_of_layers,
+    params_of_layers,
     weighted_entropy,
 )
-from entromax.model import StemSpec
+from entromax.model import StemSpec, expand
 from entromax.solver import (
     Candidate,
     InfeasibleProblem,
@@ -27,6 +32,7 @@ from entromax.solver import (
     round_and_repair,
     solve,
 )
+from entromax.solver import _model
 
 
 def r18_problem(max_params=11_689_512, max_flops=1_819_040_768, rho0=0.3):
@@ -310,12 +316,24 @@ def test_budget_monotonicity_on_relaxed_budgets():
             assert wider.objective >= base.objective
 
 
-def test_solve_infeasible_reports_binding_constraint():
-    prob = dataclasses.replace(tiny_problem(0), max_params=10)
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_infeasible_reports_binding_constraint(seed):
+    # rho is violated ninefold and FLOPs by one: the binding constraint is
+    # the larger violation relative to its bound, as the oracle names it
+    prob = tiny_problem(seed)
+    lo_w = [b[0] for b in prob.width_bounds]
+    for i in range(1, len(lo_w)):
+        lo_w[i] = max(lo_w[i], lo_w[i - 1])
+    cheapest = evaluate(Candidate(tuple(lo_w),
+                                  tuple(b[0] for b in prob.depth_bounds)), prob)
+    prob = dataclasses.replace(prob, rho0=0.1 * cheapest.rho,
+                               max_flops=cheapest.flops - 1)
+    with pytest.raises(InfeasibleProblem) as err:
+        brute_force(prob)
     rep = solve(prob, SolveOptions(seed=0))
     assert not rep.feasible
     assert rep.best is None
-    assert rep.infeasibility == "params"
+    assert rep.infeasibility == err.value.binding
 
 
 def test_max_evals_one_returns_flagged():
@@ -343,15 +361,79 @@ def test_trace_is_side_effect_free():
     assert traced.trace and not plain.trace
 
 
-def test_desk_scale_resnet18_problem():
-    prob = r18_problem()
-    rep = solve(prob, SolveOptions(seed=0))
-    assert rep.feasible
-    assert all(v >= 0 for v in rep.slacks.values())
-    baseline = evaluate(Candidate((64, 128, 256, 512), (2, 2, 2, 2)), prob)
-    assert rep.objective > baseline.objective
-    ev = evaluate(rep.best, prob)
-    assert ev.q <= math.exp(4.0)
-    budget_slack = min(ev.slacks["params"] / prob.max_params,
-                       ev.slacks["flops"] / prob.max_flops)
-    assert budget_slack <= 0.02
+# --- the stage-separable model against expand + metrics -------------------------
+
+BLOCKS = {
+    "plain": BlockKind.plain(),
+    "basic": BlockKind.resnet_basic(),
+    "bottleneck": BlockKind.resnet_bottleneck(),
+    "mbv2-e1": BlockKind.mobilenet_v2(expansion=1),
+    "mbv2-e1-se": BlockKind.mobilenet_v2(expansion=1, se_reduction=3),
+    "mbv2-e6": BlockKind.mobilenet_v2(expansion=6),
+    "mbv2-e6-se": BlockKind.mobilenet_v2(expansion=6, se_reduction=3),
+}
+
+
+@st.composite
+def model_cases(draw, block):
+    """A problem and a candidate in it.  With a channel unit of 24 the
+    groups and the SE reduction divide every channel count; with 8 they
+    need not, and the exact branch floors."""
+    unit = draw(st.sampled_from((8, 24)))
+    m = draw(st.integers(1, 4))
+    widths = tuple(unit * draw(st.integers(1, 6)) for _ in range(m))
+    depths = tuple(draw(st.integers(1, 4)) for _ in range(m))
+    prob = ProblemSpec(
+        block=block, stages=m,
+        alphas=tuple(draw(st.floats(0.0, 8.0)) for _ in range(m)),
+        rho0=1.0, max_flops=10**12, max_params=10**10,
+        input_resolution=draw(st.sampled_from((15, 32, 56))),
+        downsample_schedule=tuple(draw(st.booleans()) for _ in range(m)),
+        width_bounds=((8, 144),) * m, depth_bounds=((1, 4),) * m,
+        beta=draw(st.sampled_from((0.0, 10.0))),
+        kernel=draw(st.sampled_from((3, 5))),
+        groups=draw(st.sampled_from((1, 2, 3))),
+        num_classes=draw(st.sampled_from((10, 1000))),
+        stem=StemSpec(channels=unit * draw(st.integers(1, 2)),
+                      kernel=draw(st.sampled_from((3, 7))),
+                      stride=draw(st.sampled_from((1, 2))),
+                      pool=draw(st.booleans())),
+        head_channels=draw(st.sampled_from((None, 64))),
+    )
+    return prob, Candidate(widths, depths)
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stage_model_matches_expand_and_metrics(block, data):
+    prob, cand = data.draw(model_cases(block))
+    net = realize(cand, prob)
+    layers = expand(net, check=False)
+    se = block.se_reduction
+    divisions_exact = all(l.c_in % l.g == 0 for l in layers) and (
+        se is None or all(c % se == 0 for c in (prob.stem.channels,) + cand.widths))
+    for conv in all_conventions():
+        ev = evaluate(cand, prob, conv)
+        assert ev.params == params_of_layers(layers, conv)
+        assert ev.flops == flops_of_layers(layers, conv)
+        for i in range(prob.stages):
+            stage = [l for l in layers if l.stage == i]
+            assert ev.stage_params[i] == params_of_layers(stage, conv)
+            assert ev.stage_flops[i] == flops_of_layers(stage, conv)
+        weighted, _ = weighted_entropy(net, prob.alphas, conv, layers=layers)
+        assert _close(ev.weighted_entropy, weighted)
+        assert _close(ev.rho, effectiveness(net, conv, layers=layers))
+
+        if divisions_exact:
+            # the relaxed branch at the same inputs as floats
+            model = _model(prob, conv)
+            relaxed = model.costs([float(w) for w in cand.widths],
+                                  [float(d) for d in cand.depths], exact=False)
+            exact = model.costs(cand.widths, cand.depths, exact=True)
+            for r, e in zip(relaxed[:4], exact[:4]):
+                assert _close(r, e)
