@@ -1,21 +1,27 @@
 """Versioned JSON file formats: architectures, problems, reports.
 
 One format family, one `format` tag and integer `version` per document.
-Parsers are strict: unknown fields are rejected unless `allow_unknown`
-is passed (the compatibility escape hatch for newer writers).  Schemas
-for external consumers are shipped under docs/.
+Architectures and problems are read into their spec dataclasses, whose
+fields, defaults and type hints define the format.  Parsers are strict:
+wrongly typed values are rejected, and so are unknown fields unless
+`allow_unknown` is passed (the compatibility escape hatch for newer
+writers).  Schemas for external consumers are shipped under docs/.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
 from pathlib import Path
 from typing import Any
 
 from .blocks import MOBILENET_V2_SE, RESNET_BOTTLENECK, BlockKind
 from .conventions import Conventions
 from .metrics import MetricReport
-from .model import NetworkSpec, StageSpec, StemSpec
+from .model import NetworkSpec, StemSpec
 
 ARCHITECTURE_FORMAT = "entromax-architecture"
 PROBLEM_FORMAT = "entromax-problem"
@@ -28,24 +34,72 @@ class ParseError(ValueError):
     """Malformed or out-of-contract document."""
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str],
-                  where: str, allow_unknown: bool) -> None:
-    missing = required - obj.keys()
-    if missing:
-        raise ParseError(f"{where}: missing fields {sorted(missing)}")
-    if not allow_unknown:
-        unknown = obj.keys() - allowed
-        if unknown:
-            raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
-
-
-def _check_header(obj: Any, expected_format: str, where: str) -> None:
+def _check_header(obj: Any, expected_format: str, where: str) -> dict:
+    """The document's body: every field except `format` and `version`."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: document must be a JSON object")
     if obj.get("format") != expected_format:
         raise ParseError(f"{where}: format must be {expected_format!r}, got {obj.get('format')!r}")
-    if obj.get("version") != FORMAT_VERSION:
-        raise ParseError(f"{where}: unsupported version {obj.get('version')!r}")
+    version = obj.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
+        raise ParseError(f"{where}: unsupported version {version!r}")
+    return {k: v for k, v in obj.items() if k not in ("format", "version")}
+
+
+# spec fields that no document carries
+_NOT_IN_FILE = {NetworkSpec: ("in_channels",)}
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+@functools.cache
+def _file_fields(cls) -> tuple[dict[str, Any], set[str]]:
+    """Each document field's type, and the fields without a default."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in _NOT_IN_FILE.get(cls, ())]
+    required = {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    return {f.name: hints[f.name] for f in fields}, required
+
+
+def _from_dict(cls, obj: Any, where: str, allow_unknown: bool):
+    """Build spec dataclass `cls` from a JSON object, checking every
+    value's type; omitted fields take the dataclass defaults."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
+    hints, required = _file_fields(cls)
+    missing = required - obj.keys()
+    if missing:
+        raise ParseError(f"{where}: missing fields {sorted(missing)}")
+    unknown = obj.keys() - hints.keys()
+    if unknown and not allow_unknown:
+        raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+    return cls(**{name: _value(hints[name], obj[name], f"{where}.{name}", allow_unknown)
+                  for name in hints if name in obj})
+
+
+def _value(tp, value: Any, where: str, allow_unknown: bool):
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, where, allow_unknown)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) in (types.UnionType, typing.Union):  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _value(tp, value, where, allow_unknown)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ParseError(f"{where}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_value(t, v, f"{where}[{i}]", allow_unknown)
+                     for i, (t, v) in enumerate(zip(args, value)))
+    # bool is an int to Python but not to the format; ints stay ints as floats
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        raise ParseError(f"{where}: expected {_SCALARS[tp]}, got {value!r}")
+    return value
 
 
 def block_to_dict(block: BlockKind) -> dict:
@@ -59,29 +113,12 @@ def block_to_dict(block: BlockKind) -> dict:
 
 
 def block_from_dict(obj: dict, where: str, allow_unknown: bool = False) -> BlockKind:
-    _require_keys(obj, {"kind", "bottleneck_ratio", "expansion", "se_reduction"},
-                  {"kind"}, where, allow_unknown)
-    kwargs = {}
-    for key in ("bottleneck_ratio", "expansion", "se_reduction"):
-        if key in obj:
-            kwargs[key] = obj[key]
-    return BlockKind(kind=obj["kind"], **kwargs)
+    return _from_dict(BlockKind, obj, where, allow_unknown)
 
 
 def _stem_to_dict(stem: StemSpec) -> dict:
     return {"channels": stem.channels, "kernel": stem.kernel,
             "stride": stem.stride, "pool": stem.pool}
-
-
-def _stem_from_dict(obj: dict, allow_unknown: bool) -> StemSpec:
-    _require_keys(obj, {"channels", "kernel", "stride", "pool"},
-                  {"channels"}, "stem", allow_unknown)
-    return StemSpec(
-        channels=obj["channels"],
-        kernel=obj.get("kernel", 3),
-        stride=obj.get("stride", 2),
-        pool=obj.get("pool", False),
-    )
 
 
 def network_to_dict(net: NetworkSpec) -> dict:
@@ -107,34 +144,8 @@ def network_to_dict(net: NetworkSpec) -> dict:
 
 
 def network_from_dict(obj: dict, allow_unknown: bool = False) -> NetworkSpec:
-    _check_header(obj, ARCHITECTURE_FORMAT, "architecture")
-    _require_keys(
-        obj,
-        {"format", "version", "input_resolution", "num_classes", "stem",
-         "stages", "head_channels"},
-        {"format", "version", "input_resolution", "stem", "stages"},
-        "architecture", allow_unknown)
-    stem = _stem_from_dict(obj["stem"], allow_unknown)
-    stages = []
-    for i, s in enumerate(obj["stages"]):
-        where = f"stage {i}"
-        _require_keys(s, {"block", "depth", "width", "kernel", "groups", "downsample"},
-                      {"block", "depth", "width"}, where, allow_unknown)
-        stages.append(StageSpec(
-            block=block_from_dict(s["block"], where, allow_unknown),
-            depth=s["depth"],
-            width=s["width"],
-            kernel=s.get("kernel", 3),
-            groups=s.get("groups", 1),
-            downsample=s.get("downsample", False),
-        ))
-    return NetworkSpec(
-        input_resolution=obj["input_resolution"],
-        stem=stem,
-        stages=tuple(stages),
-        head_channels=obj.get("head_channels"),
-        num_classes=obj.get("num_classes", 1000),
-    )
+    body = _check_header(obj, ARCHITECTURE_FORMAT, "architecture")
+    return _from_dict(NetworkSpec, body, "architecture", allow_unknown)
 
 
 def metrics_to_dict(report: MetricReport, conventions: Conventions | None = None) -> dict:
@@ -182,37 +193,8 @@ def problem_to_dict(prob) -> dict:
 def problem_from_dict(obj: dict, allow_unknown: bool = False):
     from .solver import ProblemSpec  # local import keeps this module light
 
-    _check_header(obj, PROBLEM_FORMAT, "problem")
-    _require_keys(
-        obj,
-        {"format", "version", "block", "stages", "alphas", "beta", "rho0",
-         "max_flops", "max_params", "input_resolution", "num_classes",
-         "downsample_schedule", "width_bounds", "depth_bounds",
-         "width_granularity", "kernel", "groups", "stem", "head_channels"},
-        {"format", "version", "block", "stages", "alphas", "rho0",
-         "max_flops", "max_params", "input_resolution",
-         "downsample_schedule", "width_bounds", "depth_bounds"},
-        "problem", allow_unknown)
-    stem = _stem_from_dict(obj.get("stem", {"channels": 32}), allow_unknown)
-    prob = ProblemSpec(
-        block=block_from_dict(obj["block"], "block", allow_unknown),
-        stages=obj["stages"],
-        alphas=tuple(obj["alphas"]),
-        beta=obj.get("beta", 10.0),
-        rho0=obj["rho0"],
-        max_flops=obj["max_flops"],
-        max_params=obj["max_params"],
-        input_resolution=obj["input_resolution"],
-        num_classes=obj.get("num_classes", 1000),
-        downsample_schedule=tuple(obj["downsample_schedule"]),
-        width_bounds=tuple(tuple(b) for b in obj["width_bounds"]),
-        depth_bounds=tuple(tuple(b) for b in obj["depth_bounds"]),
-        width_granularity=obj.get("width_granularity", 8),
-        kernel=obj.get("kernel", 3),
-        groups=obj.get("groups", 1),
-        stem=stem,
-        head_channels=obj.get("head_channels"),
-    )
+    body = _check_header(obj, PROBLEM_FORMAT, "problem")
+    prob = _from_dict(ProblemSpec, body, "problem", allow_unknown)
     prob.check()
     return prob
 

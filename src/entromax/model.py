@@ -113,7 +113,7 @@ class ValidationError(ValueError):
 
 def _check_positive(violations: list[Violation], value: int, code: str,
                     where: str, what: str) -> None:
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         violations.append(Violation(code, where, f"{what} must be a positive integer, got {value!r}"))
 
 
@@ -241,8 +241,8 @@ def expand(net: NetworkSpec, check: bool = True) -> tuple[LayerDescriptor, ...]:
     emitted after its block's main path), squeeze-excite convs at
     resolution 1, the optional head conv, and the classifier as a 1x1
     conv at resolution 1.  Deterministic: identical specs give identical
-    layer tuples.  `check=False` skips validation for specs known valid
-    by construction (the solver's realized candidates).
+    layer tuples.  `check=False` skips validation, for callers that need
+    to expand specs `validate` would reject.
     """
     if check:
         violations = validate(net)

@@ -46,6 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import (
+    MOBILENET_V2_SE,
+    RESNET_BOTTLENECK,
     ROLE_CLASSIFIER,
     ROLE_HEAD,
     ROLE_MAIN,
@@ -57,7 +59,7 @@ from .blocks import (
 )
 from .conventions import PINNED, Conventions
 from .metrics import depth_uniformity_penalty
-from .model import NetworkSpec, StageSpec, StemSpec, halve, resolve_rows
+from .model import NetworkSpec, StageSpec, StemSpec, halve, resolve_rows, validate
 
 __all__ = [
     "ProblemSpec",
@@ -130,6 +132,21 @@ class ProblemSpec:
                 raise ValueError(
                     f"stage {i}: no monotone width lattice point in bounds "
                     f"(effective granular range [{lo_g[i]}, {hi_g[i]}])")
+        # resolution, class-count, kernel and stem faults do not depend on
+        # widths or depths, so the cheapest design shows them for all
+        cheapest = Candidate(tuple(lo_g), tuple(lo for lo, _ in self.depth_bounds))
+        violations = validate(realize(cheapest, self))
+        if violations:
+            raise ValueError("invalid problem: its cheapest design fails validation: "
+                             + "; ".join(str(v) for v in violations))
+        # other widths step from the cheapest by the granularity; grouped
+        # channels stay divisible only if each step does (mobilenet: no groups)
+        if self.block.kind != MOBILENET_V2_SE:
+            share = self.block.bottleneck_ratio if self.block.kind == RESNET_BOTTLENECK else 1
+            per_group = self.width_granularity * share / self.groups
+            if abs(per_group - round(per_group)) > 1e-9:
+                raise ValueError(f"groups {self.groups} must divide the grouped convs' "
+                                 f"channel step per width granularity {self.width_granularity}")
 
 
 @dataclass(frozen=True)
@@ -164,12 +181,7 @@ class SolveOptions:
     restarts: int = 12
     threads: int = 1
     max_evals: int = 200_000
-    sweeps: int = 48
-    step_init: float = 0.25
-    step_min: float = 0.005
-    penalty_tolerance: float = 0.005
     trace: bool = False
-    max_enumeration: int = 1_000_000
 
 
 @dataclass
@@ -547,8 +559,15 @@ def _monotone_box(widths, lo_eff, hi_eff) -> list[float]:
     return out
 
 
-def _continuous_ascent(model: _StageModel, prob: ProblemSpec, opts: SolveOptions,
-                       w0, d0, mu: float):
+# coordinate ascent: sweep cap, step as a fraction of each axis's span,
+# and the relative violation the penalty forgives (rounding absorbs it)
+_SWEEPS = 48
+_STEP_INIT = 0.25
+_STEP_MIN = 0.005
+_PENALTY_TOLERANCE = 0.005
+
+
+def _continuous_ascent(model: _StageModel, prob: ProblemSpec, w0, d0, mu: float):
     lo_g, hi_g = _granular_bounds(prob)
     lo_w = [float(v) for v in lo_g]
     hi_w = [float(v) for v in hi_g]
@@ -557,11 +576,11 @@ def _continuous_ascent(model: _StageModel, prob: ProblemSpec, opts: SolveOptions
 
     w = _monotone_box(w0, lo_w, hi_w)
     d = [min(max(float(v), lo_d[i]), hi_d[i]) for i, v in enumerate(d0)]
-    best, _ = model.penalized(w, d, mu, opts.penalty_tolerance)
+    best, _ = model.penalized(w, d, mu, _PENALTY_TOLERANCE)
 
-    step = opts.step_init
+    step = _STEP_INIT
     m = prob.stages
-    for _ in range(opts.sweeps):
+    for _ in range(_SWEEPS):
         improved = False
         for j in range(2 * m):
             is_width = j < m
@@ -580,15 +599,14 @@ def _continuous_ascent(model: _StageModel, prob: ProblemSpec, opts: SolveOptions
                     trial_d = list(d)
                     trial_d[k] = min(max(trial_d[k] + sign * step * span,
                                          lo_d[k]), hi_d[k])
-                score, _ = model.penalized(trial_w, trial_d, mu,
-                                           opts.penalty_tolerance)
+                score, _ = model.penalized(trial_w, trial_d, mu, _PENALTY_TOLERANCE)
                 if score > best:
                     best = score
                     w, d = list(trial_w), list(trial_d)
                     improved = True
         if not improved:
             step *= 0.5
-            if step < opts.step_min:
+            if step < _STEP_MIN:
                 break
     return w, d
 
@@ -797,7 +815,7 @@ def _run_restart(prob: ProblemSpec, opts: SolveOptions,
             model = _model(prob, conventions)
             mu0 = 10.0 * (1.0 + abs(model.penalized(w0, d0, 0.0, 0.0)[1]))
             mu = mu0 * (2.0 ** restart)
-            w, d = _continuous_ascent(model, prob, opts, w0, d0, mu)
+            w, d = _continuous_ascent(model, prob, w0, d0, mu)
             note["mu"] = mu
         else:
             w, d = w0, d0

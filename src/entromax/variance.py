@@ -45,7 +45,6 @@ class SimulationConfig:
     n_samples: int
     seed: int = 0
     out_width: int = 1
-    tolerance: float = 0.05
     quenched: bool = False  # one fixed weight draw for all samples (report-only)
     threads: int = 1
 

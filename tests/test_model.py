@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from entromax.blocks import ROLE_CLASSIFIER, ROLE_MAIN, ROLE_STEM, BlockKind
@@ -114,6 +116,13 @@ def test_even_kernel_is_rejected():
     net = plain_net(kernel=4)
     codes = [v.code for v in validate(net)]
     assert "kernel_even" in codes
+
+
+def test_boolean_depth_and_kernel_are_rejected():
+    net = plain_net()
+    stage = dataclasses.replace(net.stages[0], depth=True, kernel=True)
+    codes = [v.code for v in validate(dataclasses.replace(net, stages=(stage,)))]
+    assert codes == ["depth_nonpositive", "kernel_nonpositive"]
 
 
 def test_resolution_underflow_names_the_stage():
