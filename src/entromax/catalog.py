@@ -16,7 +16,7 @@ from importlib import resources
 from .conventions import PINNED, Conventions, all_conventions
 from .fileio import network_from_dict, load_json
 from .metrics import count_flops, count_params, effectiveness
-from .model import NetworkSpec, expand
+from .model import LayerDescriptor, NetworkSpec, expand
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,8 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
-def _evaluate(entry: CatalogEntry, conventions: Conventions) -> EntryResult:
-    layers = expand(entry.spec)
+def _evaluate(entry: CatalogEntry, layers: tuple[LayerDescriptor, ...],
+              conventions: Conventions) -> EntryResult:
     params = count_params(entry.spec, conventions, layers=layers)
     flops = count_flops(entry.spec, conventions, layers=layers)
     rho = effectiveness(entry.spec, conventions, layers=layers)
@@ -162,11 +162,11 @@ def calibrate(pinned: Conventions = PINNED) -> CalibrationReport:
     so combinations differing only there tie; the report's flag summary
     shows which flags the data actually forces.
     """
-    entries = [reference(n) for n in names()]
+    entries = [(e, expand(e.spec)) for e in map(reference, names())]
     results: dict[Conventions, list[EntryResult]] = {}
     passing = []
     for conv in all_conventions():
-        rows = [_evaluate(e, conv) for e in entries]
+        rows = [_evaluate(e, layers, conv) for e, layers in entries]
         results[conv] = rows
         if all(r.ok for r in rows):
             passing.append(conv)

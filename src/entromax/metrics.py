@@ -31,6 +31,7 @@ __all__ = [
     "params_of_layers",
     "flops_of_layers",
     "monotone_width_check",
+    "path_roles",
     "entropy_path",
     "metric_report",
 ]
@@ -88,9 +89,8 @@ def average_width(widths: Sequence[float]) -> float:
     return math.exp(math.fsum(math.log(w) for w in widths) / len(widths))
 
 
-def entropy_path(layers: Iterable[LayerDescriptor],
-                 conventions: Conventions = PINNED) -> list[LayerDescriptor]:
-    """The layers whose widths enter entropy and effectiveness.
+def path_roles(conventions: Conventions = PINNED) -> frozenset[str]:
+    """The roles of the convs whose widths enter entropy and effectiveness.
 
     Block main-path convs always; the stem and shortcut convs per the
     convention flags; squeeze-excite, head and classifier convs never
@@ -101,6 +101,13 @@ def entropy_path(layers: Iterable[LayerDescriptor],
         keep.add(ROLE_STEM)
     if conventions.entropy_include_shortcut:
         keep.add(ROLE_SHORTCUT)
+    return frozenset(keep)
+
+
+def entropy_path(layers: Iterable[LayerDescriptor],
+                 conventions: Conventions = PINNED) -> list[LayerDescriptor]:
+    """The layers whose roles are on the signal path (`path_roles`)."""
+    keep = path_roles(conventions)
     return [l for l in layers if l.role in keep]
 
 

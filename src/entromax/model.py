@@ -117,6 +117,11 @@ def _check_positive(violations: list[Violation], value: int, code: str,
         violations.append(Violation(code, where, f"{what} must be a positive integer, got {value!r}"))
 
 
+def _check_flag(violations: list[Violation], value: bool, where: str, what: str) -> None:
+    if not isinstance(value, bool):
+        violations.append(Violation("flag_not_bool", where, f"{what} must be a bool, got {value!r}"))
+
+
 def _check_kernel(violations: list[Violation], kernel: int, where: str) -> None:
     _check_positive(violations, kernel, "kernel_nonpositive", where, "kernel")
     if isinstance(kernel, int) and kernel >= 1 and kernel % 2 == 0:
@@ -141,6 +146,7 @@ def validate(net: NetworkSpec) -> list[Violation]:
     _check_kernel(v, net.stem.kernel, "stem")
     if net.stem.stride not in (1, 2):
         v.append(Violation("bad_stride", "stem", f"stride must be 1 or 2, got {net.stem.stride}"))
+    _check_flag(v, net.stem.pool, "stem", "pool")
 
     for i, stage in enumerate(net.stages):
         where = f"stage {i}"
@@ -148,6 +154,7 @@ def validate(net: NetworkSpec) -> list[Violation]:
         _check_positive(v, stage.width, "width_nonpositive", where, "width")
         _check_kernel(v, stage.kernel, where)
         _check_positive(v, stage.groups, "groups_nonpositive", where, "groups")
+        _check_flag(v, stage.downsample, where, "downsample")
         for err in stage.block.structure_errors():
             v.append(Violation("bad_block", where, err))
 
@@ -269,10 +276,8 @@ def expand(net: NetworkSpec, check: bool = True) -> tuple[LayerDescriptor, ...]:
             rows, r = resolve_rows(plans, r)
             for plan, row_r_in, row_r_out in rows:
                 layers.append(LayerDescriptor(
-                    c_in=int(plan.c_in), c_out=int(plan.c_out),
-                    k=1 if plan.role == ROLE_SE else plan.kernel,
-                    g=int(plan.groups),
-                    stride=1 if plan.role == ROLE_SE else plan.stride,
+                    c_in=int(plan.c_in), c_out=int(plan.c_out), k=plan.kernel,
+                    g=int(plan.groups), stride=plan.stride,
                     r_in=row_r_in, r_out=row_r_out, role=plan.role, stage=i,
                     has_bn=plan.has_bn, has_bias=plan.has_bias))
         c_prev = stage.width

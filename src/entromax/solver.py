@@ -24,8 +24,10 @@ brute-force oracle below):
   phase 2  round to the integer/granularity lattice, then greedy repair:
            shrink the most expensive stage's width first, then depths,
            until feasible (monotonicity preserved throughout).
-  phase 3  discrete local search: +-1 depth, +-granularity width, and
-           width transfers between adjacent stages, best-improvement,
+  phase 3  discrete local search: +-1 depth, +-granularity width, width
+           transfers between adjacent stages, depth transfers between any
+           two stages, and trades of one granularity step of width in one
+           stage for one block of depth in any stage; best-improvement,
            until no improving feasible neighbour exists.
 
 Restarts are independent and deterministically seeded from (seed,
@@ -50,15 +52,13 @@ from .blocks import (
     RESNET_BOTTLENECK,
     ROLE_CLASSIFIER,
     ROLE_HEAD,
-    ROLE_MAIN,
-    ROLE_SHORTCUT,
     ROLE_STEM,
     BlockKind,
     ConvPlan,
     block_convs,
 )
 from .conventions import PINNED, Conventions
-from .metrics import depth_uniformity_penalty
+from .metrics import depth_uniformity_penalty, path_roles
 from .model import NetworkSpec, StageSpec, StemSpec, halve, resolve_rows, validate
 
 __all__ = [
@@ -132,10 +132,9 @@ class ProblemSpec:
                 raise ValueError(
                     f"stage {i}: no monotone width lattice point in bounds "
                     f"(effective granular range [{lo_g[i]}, {hi_g[i]}])")
-        # resolution, class-count, kernel and stem faults do not depend on
-        # widths or depths, so the cheapest design shows them for all
-        cheapest = Candidate(tuple(lo_g), tuple(lo for lo, _ in self.depth_bounds))
-        violations = validate(realize(cheapest, self))
+        # resolution, class-count, kernel, flag and stem faults do not
+        # depend on widths or depths, so the cheapest design shows them for all
+        violations = validate(realize(_cheapest(self), self))
         if violations:
             raise ValueError("invalid problem: its cheapest design fails validation: "
                              + "; ".join(str(v) for v in violations))
@@ -167,7 +166,6 @@ class CandidateEval:
     rho: float
     params: int
     flops: int
-    monotone: bool
     feasible: bool
     slacks: dict
     violations: dict
@@ -224,6 +222,17 @@ def _granular_bounds(prob: ProblemSpec) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
+def _cheapest(prob: ProblemSpec) -> Candidate:
+    """The lattice point with the lowest widths and depths."""
+    lo_g, _ = _granular_bounds(prob)
+    return Candidate(tuple(lo_g), tuple(lo for lo, _ in prob.depth_bounds))
+
+
+def _caps(prob: ProblemSpec) -> tuple[tuple[str, float], ...]:
+    """The budgeted constraints as (name, bound), in reporting order."""
+    return (("rho", prob.rho0), ("flops", prob.max_flops), ("params", prob.max_params))
+
+
 def _check_candidate(cand: Candidate, prob: ProblemSpec) -> None:
     """Raise ValueError unless the candidate is a lattice point of the problem."""
     if len(cand.widths) != prob.stages or len(cand.depths) != prob.stages:
@@ -258,7 +267,7 @@ def realize(cand: Candidate, prob: ProblemSpec) -> NetworkSpec:
 
 class _StageModel:
     """Stage-separable costs of one problem's candidates under one
-    convention set.
+    convention set, on one branch.
 
     A stage is its first block followed by depth - 1 copies of its repeat
     block, so params, FLOPs, signal-path length and the stage's sum of log
@@ -266,21 +275,19 @@ class _StageModel:
     stem, each stage's first and repeat block, the head and the classifier
     are costed, as conv rows from `block_convs` and `resolve_rows`.
 
-    Integer widths take the exact branch, which counts `c_in // groups`
-    and the floored squeeze-excite width as `expand` and `metrics` do; its
-    block costs are memoized.  Float widths take the relaxed branch the
-    continuous ascent climbs: true division and a smooth squeeze-excite
-    width.  Tests hold the exact branch to `metric_report` over `expand`.
+    The exact branch counts `c_in // groups` and the floored
+    squeeze-excite width as `expand` and `metrics` do; the relaxed branch
+    the continuous ascent climbs takes real widths, true division and a
+    smooth squeeze-excite width.  Each instance memoizes its block costs:
+    64 and 64.0 share a key but not a cost, so branches share no memo.
+    Tests hold the exact branch to `metric_report` over `expand`.
     """
 
-    def __init__(self, prob: ProblemSpec, conventions: Conventions):
+    def __init__(self, prob: ProblemSpec, conventions: Conventions, exact: bool):
         self.prob = prob
         self.conv = conventions
-        self.path = {ROLE_MAIN}
-        if conventions.entropy_include_stem:
-            self.path.add(ROLE_STEM)
-        if conventions.entropy_include_shortcut:
-            self.path.add(ROLE_SHORTCUT)
+        self.exact = exact
+        self.path = path_roles(conventions)
         self.memo: dict = {}
 
         stem = prob.stem
@@ -289,7 +296,7 @@ class _StageModel:
         # three input channels, as in every network `realize` builds
         stem_conv = ConvPlan(3, stem.channels, stem.kernel, 1, stem.stride,
                              ROLE_STEM, True, False)
-        self.stem = self._row_costs([(stem_conv, r, r_stem)], exact=True)
+        self.stem = self._row_costs([(stem_conv, r, r_stem)])
         r = halve(r_stem) if stem.pool else r_stem
         self.r_in: list[int] = []
         self.r_out: list[int] = []
@@ -299,13 +306,13 @@ class _StageModel:
                 r = halve(r)
             self.r_out.append(r)
 
-    def _row_costs(self, rows, exact: bool):
+    def _row_costs(self, rows):
         """(params, flops, sum of log projected widths, path convs) of conv rows."""
         conv = self.conv
         params = flops = n_path = 0
         logw = 0.0
         for plan, _, r_out in rows:
-            c_in = plan.c_in // plan.groups if exact else plan.c_in / plan.groups
+            c_in = plan.c_in // plan.groups if self.exact else plan.c_in / plan.groups
             weights = plan.c_out * c_in * plan.kernel ** 2
             area = r_out * r_out
             params += weights
@@ -324,21 +331,19 @@ class _StageModel:
                 n_path += 1
         return params, flops, logw, n_path
 
-    def _block(self, i: int, c_in, c, first: bool, exact: bool):
+    def _block(self, i: int, c_in, c, first: bool):
         key = (i, c_in, c, first)
-        costs = self.memo.get(key) if exact else None
+        costs = self.memo.get(key)
         if costs is None:
             prob = self.prob
             stride = 2 if first and prob.downsample_schedule[i] else 1
             plans = block_convs(prob.block, c_in, c, prob.kernel, prob.groups,
-                                stride, exact=exact)
+                                stride, exact=self.exact)
             rows, _ = resolve_rows(plans, self.r_in[i] if first else self.r_out[i])
-            costs = self._row_costs(rows, exact)
-            if exact:
-                self.memo[key] = costs
+            costs = self.memo[key] = self._row_costs(rows)
         return costs
 
-    def costs(self, widths, depths, exact: bool):
+    def costs(self, widths, depths):
         """(weighted entropy, rho, params, flops, stage params, stage flops)."""
         prob = self.prob
         params, flops, stem_logw, n_path = self.stem
@@ -347,8 +352,8 @@ class _StageModel:
         stage_logw = []
         c_prev = prob.stem.channels
         for i, (c, d) in enumerate(zip(widths, depths)):
-            p1, f1, l1, n1 = self._block(i, c_prev, c, True, exact)
-            p2, f2, l2, n2 = self._block(i, c, c, False, exact)
+            p1, f1, l1, n1 = self._block(i, c_prev, c, True)
+            p2, f2, l2, n2 = self._block(i, c, c, False)
             k = d - 1
             stage_params.append(p1 + k * p2)
             stage_flops.append(f1 + k * f2)
@@ -363,7 +368,7 @@ class _StageModel:
             c_prev = prob.head_channels
         tail.append((ConvPlan(c_prev, prob.num_classes, 1, 1, 1, ROLE_CLASSIFIER,
                               False, True), 1, 1))
-        p_tail, f_tail, _, _ = self._row_costs(tail, exact)
+        p_tail, f_tail, _, _ = self._row_costs(tail)
         params += sum(stage_params) + p_tail
         flops += sum(stage_flops) + f_tail
 
@@ -377,23 +382,23 @@ class _StageModel:
         return weighted, rho, params, flops, stage_params, stage_flops
 
     def penalized(self, widths, depths, mu: float, tol: float):
-        """(objective - mu * exterior penalty, objective) of the relaxed branch;
-        budget excess below `tol` relative is free."""
+        """(objective - mu * exterior penalty, objective); budget excess
+        below `tol` relative is free."""
         prob = self.prob
-        weighted, rho, params, flops, _, _ = self.costs(widths, depths, exact=False)
+        weighted, rho, params, flops, _, _ = self.costs(widths, depths)
+        usage = {"rho": rho, "flops": flops, "params": params}
         obj = weighted - prob.beta * depth_uniformity_penalty(depths)
         pen = 0.0
-        for usage, budget in ((rho, prob.rho0), (flops, float(prob.max_flops)),
-                              (params, float(prob.max_params))):
-            excess = max(0.0, usage / budget - 1.0 - tol)
+        for name, budget in _caps(prob):
+            excess = max(0.0, usage[name] / budget - 1.0 - tol)
             pen += excess * excess
         return obj - mu * pen, obj
 
 
 @functools.lru_cache(maxsize=8)
-def _model(prob: ProblemSpec, conventions: Conventions) -> _StageModel:
-    """One model, and so one block memo, per (problem, conventions)."""
-    return _StageModel(prob, conventions)
+def _model(prob: ProblemSpec, conventions: Conventions, exact: bool = True) -> _StageModel:
+    """One model, and so one block memo, per (problem, conventions, branch)."""
+    return _StageModel(prob, conventions, exact)
 
 
 def evaluate(cand: Candidate, prob: ProblemSpec,
@@ -403,23 +408,12 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
     the realized network's expansion."""
     _check_candidate(cand, prob)
     weighted, rho, params, flops, stage_params, stage_flops = _model(
-        prob, conventions).costs(cand.widths, cand.depths, exact=True)
+        prob, conventions).costs(cand.widths, cand.depths)
     q = depth_uniformity_penalty(cand.depths)
-    monotone = all(a <= b for a, b in zip(cand.widths, cand.widths[1:]))
-
-    slacks = {
-        "rho": prob.rho0 - rho,
-        "flops": prob.max_flops - flops,
-        "params": prob.max_params - params,
-    }
-    violations = {}
-    if rho > prob.rho0:
-        violations["rho"] = rho - prob.rho0
-    if flops > prob.max_flops:
-        violations["flops"] = flops - prob.max_flops
-    if params > prob.max_params:
-        violations["params"] = params - prob.max_params
-    if not monotone:
+    usage = {"rho": rho, "flops": flops, "params": params}
+    slacks = {name: cap - usage[name] for name, cap in _caps(prob)}
+    violations = {name: -slack for name, slack in slacks.items() if slack < 0}
+    if any(a > b for a, b in zip(cand.widths, cand.widths[1:])):
         violations["monotone"] = 1.0
     return CandidateEval(
         objective=weighted - prob.beta * q,
@@ -428,7 +422,6 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
         rho=rho,
         params=params,
         flops=flops,
-        monotone=monotone,
         feasible=not violations,
         slacks=slacks,
         violations=violations,
@@ -467,8 +460,7 @@ def _better(a: tuple[Candidate, CandidateEval],
 def _binding(ev: CandidateEval, prob: ProblemSpec) -> tuple[str, float]:
     """The candidate's largest violation relative to its bound, as
     (constraint name, violation / bound), so counts compare with rho."""
-    scale = {"rho": prob.rho0, "flops": prob.max_flops,
-             "params": prob.max_params, "monotone": 1.0}
+    scale = dict(_caps(prob), monotone=1.0)
     return max(((k, v / scale[k]) for k, v in ev.violations.items()),
                key=lambda kv: kv[1])
 
@@ -812,7 +804,7 @@ def _run_restart(prob: ProblemSpec, opts: SolveOptions,
         # discrete search's start diversity
         ascend = restart < 3 or restart % 2 == 0
         if ascend:
-            model = _model(prob, conventions)
+            model = _model(prob, conventions, exact=False)
             mu0 = 10.0 * (1.0 + abs(model.penalized(w0, d0, 0.0, 0.0)[1]))
             mu = mu0 * (2.0 ** restart)
             w, d = _continuous_ascent(model, prob, w0, d0, mu)
@@ -869,28 +861,21 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
         if result is not None and (best is None or _better(result, best)):
             best = result
 
-    wall = time.perf_counter() - t0
-    if best is None:
+    infeasibility = None
+    if best is not None:
+        cand, ev = best
+    else:
         # probe the cheapest lattice point to name the binding constraint
-        lo_g, _ = _granular_bounds(prob)
-        cheapest = Candidate(tuple(lo_g), tuple(b[0] for b in prob.depth_bounds))
-        ev = evaluate(cheapest, prob, conventions)
+        cand = _cheapest(prob)
+        ev = evaluate(cand, prob, conventions)
         if ev.feasible:
             # budget starvation, not infeasibility: report the probe point
-            return SolveReport(
-                best=cheapest, objective=ev.objective, feasible=True,
-                slacks=ev.slacks, restarts_used=opts.restarts,
-                evaluations=evaluations, wall_time=wall,
-                budget_exhausted=True, trace=trace)
-        binding, _ = _binding(ev, prob)
-        return SolveReport(
-            best=None, objective=-math.inf, feasible=False, slacks=ev.slacks,
-            restarts_used=opts.restarts, evaluations=evaluations,
-            wall_time=wall, budget_exhausted=exhausted,
-            infeasibility=binding, trace=trace)
-
-    cand, ev = best
+            exhausted = True
+        else:
+            cand = None
+            infeasibility, _ = _binding(ev, prob)
     return SolveReport(
-        best=cand, objective=ev.objective, feasible=True, slacks=ev.slacks,
-        restarts_used=opts.restarts, evaluations=evaluations, wall_time=wall,
-        budget_exhausted=exhausted, trace=trace)
+        best=cand, objective=ev.objective if cand is not None else -math.inf,
+        feasible=cand is not None, slacks=ev.slacks, restarts_used=opts.restarts,
+        evaluations=evaluations, wall_time=time.perf_counter() - t0,
+        budget_exhausted=exhausted, infeasibility=infeasibility, trace=trace)

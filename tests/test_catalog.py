@@ -96,3 +96,17 @@ def test_calibration_markdown_report():
     text = report.to_markdown()
     assert "flops_bn_cost" in text
     assert "forced to 2" in text
+
+
+def test_calibration_expands_each_entry_once(monkeypatch):
+    """Every convention is evaluated over the same expansion of a net; the
+    load in `reference` expands each net once more to validate it."""
+    calls = []
+
+    def counting_expand(net, check=True):
+        calls.append(net)
+        return expand(net, check)
+
+    monkeypatch.setattr(catalog, "expand", counting_expand)
+    catalog.calibrate()
+    assert len(calls) <= 2 * len(catalog.names())

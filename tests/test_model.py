@@ -125,6 +125,17 @@ def test_boolean_depth_and_kernel_are_rejected():
     assert codes == ["depth_nonpositive", "kernel_nonpositive"]
 
 
+@pytest.mark.parametrize("field", ["pool", "downsample"])
+def test_non_boolean_flags_are_rejected(field):
+    net = plain_net()
+    if field == "pool":
+        net = dataclasses.replace(net, stem=dataclasses.replace(net.stem, pool="no"))
+    else:
+        stage = dataclasses.replace(net.stages[0], downsample="no")
+        net = dataclasses.replace(net, stages=(stage,))
+    assert [v.code for v in validate(net)] == ["flag_not_bool"]
+
+
 def test_resolution_underflow_names_the_stage():
     # the stride-2 stem takes 32 to 16; stages halve 16 -> 8 -> 4 -> 2 -> 1,
     # so the fifth downsampling stage cannot halve a one-pixel map

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import tiny_problem
 from entromax.blocks import BlockKind
 from entromax.catalog import reference
-from entromax.conventions import all_conventions
+from entromax.conventions import PINNED, all_conventions
 from entromax.metrics import (
     count_flops,
     count_params,
@@ -125,6 +125,7 @@ def test_realize_rejects_out_of_bounds():
     ({"block": BlockKind.resnet_bottleneck(), "groups": 4,
       "width_bounds": ((16, 48), (16, 48)), "stem": StemSpec(channels=16)},
      "width granularity"),
+    ({"downsample_schedule": ("no", True)}, "flag_not_bool"),
 ])
 def test_check_rejects_problems_whose_designs_fail_validation(change, code):
     prob = dataclasses.replace(tiny_problem(0), stages=2, alphas=(1.0, 1.0),
@@ -442,9 +443,32 @@ def test_stage_model_matches_expand_and_metrics(block, data):
 
         if divisions_exact:
             # the relaxed branch at the same inputs as floats
-            model = _model(prob, conv)
-            relaxed = model.costs([float(w) for w in cand.widths],
-                                  [float(d) for d in cand.depths], exact=False)
-            exact = model.costs(cand.widths, cand.depths, exact=True)
+            relaxed = _model(prob, conv, exact=False).costs(
+                [float(w) for w in cand.widths], [float(d) for d in cand.depths])
+            exact = _model(prob, conv).costs(cand.widths, cand.depths)
             for r, e in zip(relaxed[:4], exact[:4]):
                 assert _close(r, e)
+
+
+@pytest.mark.parametrize("block, groups", [
+    (BlockKind.mobilenet_v2(expansion=1, se_reduction=3), 1),
+    (BlockKind.plain(), 3),
+])
+def test_relaxed_costs_do_not_leak_into_exact_evaluations(block, groups):
+    """Where the SE reduction or the groups do not divide the widths, the
+    two branches cost the same widths differently; costing them relaxed
+    first must leave the exact evaluation as a fresh model gives it."""
+    prob = ProblemSpec(
+        block=block, stages=2, alphas=(1.0, 8.0), rho0=10.0,
+        max_flops=10**12, max_params=10**10, input_resolution=32,
+        downsample_schedule=(False, True), width_bounds=((8, 16), (8, 16)),
+        depth_bounds=((1, 3), (1, 3)), groups=groups, num_classes=10,
+        stem=StemSpec(channels=8, stride=1))
+    cand = Candidate((8, 16), (2, 3))
+    _model.cache_clear()
+    fresh = evaluate(cand, prob)
+    _model.cache_clear()
+    relaxed = _model(prob, PINNED, exact=False).costs(
+        [float(w) for w in cand.widths], [float(d) for d in cand.depths])
+    assert relaxed[2] != fresh.params  # the branches differ here
+    assert evaluate(cand, prob) == fresh
