@@ -16,7 +16,7 @@ from importlib import resources
 from .conventions import PINNED, Conventions, all_conventions
 from .fileio import network_from_dict, load_json
 from .metrics import count_flops, count_params, effectiveness
-from .model import LayerDescriptor, NetworkSpec, expand
+from .model import LayerDescriptor, NetworkSpec, ValidationError, expand, validate
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ def reference(name: str) -> CatalogEntry:
     data = resources.files("entromax.data.architectures").joinpath(f"{name}.json")
     with resources.as_file(data) as path:
         spec = network_from_dict(load_json(path))
-    expand(spec)  # raises on structural inconsistency
+    violations = validate(spec)
+    if violations:
+        raise ValidationError(violations)
     return CatalogEntry(name=name, spec=spec, expected=_EXPECTED[name])
 
 

@@ -27,8 +27,6 @@ from .fileio import (
 )
 from .metrics import metric_report
 from .model import NetworkSpec, ValidationError, validate
-from .solver import SolveOptions, solve
-from .variance import SimulationConfig, check_variance_law
 
 _PROBLEM_DIR = "entromax.data.problems"
 
@@ -127,19 +125,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    # numpy and the process pool load here, so the other commands start without them
+    from .solver import SolveOptions, realize, solve
+
     prob = problem_from_dict(_read_document(args.problem, "problem"),
                              allow_unknown=args.allow_unknown)
     conv = _conventions(args)
-    opts = SolveOptions(seed=args.seed, restarts=args.restarts,
-                        threads=args.threads, max_evals=args.max_evals,
-                        trace=args.trace)
+    # an option left out keeps its default, which only SolveOptions states
+    given = {name: getattr(args, name) for name in ("restarts", "max_evals")
+             if getattr(args, name) is not None}
+    opts = SolveOptions(seed=args.seed, threads=args.threads, trace=args.trace,
+                        **given)
     report = solve(prob, opts, conv)
     _log(f"solved in {report.wall_time:.1f}s, {report.evaluations} evaluations"
          + (" (budget exhausted)" if report.budget_exhausted else ""))
     doc = solve_report_to_dict(report, conv)
     if report.feasible and report.best is not None:
-        from .solver import realize
-
         net = realize(report.best, prob)
         doc["metrics"] = metrics_to_dict(
             metric_report(net, prob.alphas, conv), conv)
@@ -161,7 +162,8 @@ def cmd_compare(args) -> int:
     net_a = _load_network(args.arch_a, args.allow_unknown)
     net_b = _load_network(args.arch_b, args.allow_unknown)
     conv = _conventions(args)
-    a, b = (metric_report(net, None, conv) for net in (net_a, net_b))
+    a, b = (metric_report(net, _alphas(args, len(net.stages)), conv)
+            for net in (net_a, net_b))
     fields = [
         ("weighted_entropy", a.weighted_entropy, b.weighted_entropy),
         ("rho", a.rho, b.rho),
@@ -189,6 +191,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify_variance(args) -> int:
+    from .variance import SimulationConfig, check_variance_law
+
     try:
         widths = tuple(int(w) for w in args.widths.split(","))
     except ValueError:
@@ -284,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True,
                    help="problem file or shipped problem name")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=SolveOptions.restarts)
+    p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("ENTROMAX_THREADS", "1")),
                    help="parallel restart workers (env ENTROMAX_THREADS)")
-    p.add_argument("--max-evals", type=int, default=SolveOptions.max_evals)
+    p.add_argument("--max-evals", type=int, default=None)
     p.add_argument("--trace", action="store_true",
                    help="include per-restart details in the report")
     p.add_argument("--out", default=None, help="write the solved architecture here")
@@ -300,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="side-by-side metrics for two architectures")
     p.add_argument("arch_a")
     p.add_argument("arch_b")
+    p.add_argument("--alphas", default=None,
+                   help="per-stage entropy weights for both networks, comma separated")
     p.add_argument("--json", action="store_true")
     p.add_argument("--allow-unknown", action="store_true")
     _add_convention_flags(p)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import entromax
 from entromax.cli import main
 from entromax.fileio import dumps, network_to_dict, problem_to_dict
 from entromax.catalog import reference
@@ -216,3 +219,46 @@ def test_calibrate_passes_and_writes(tmp_path, capsys):
     code, _, err = run_cli(["calibrate", "--write", str(target)], capsys)
     assert code == 0
     assert "forced to 2" in target.read_text()
+
+
+def test_compare_alphas_weigh_both_networks(capsys):
+    code, out, _ = run_cli(["compare", "resnet18", "resnet34", "--json",
+                            "--alphas", "1,2,3,4"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    for side, name in (("a", "resnet18"), ("b", "resnet34")):
+        _, analyzed, _ = run_cli(["analyze", name, "--alphas", "1,2,3,4"], capsys)
+        assert doc[side] == json.loads(analyzed)
+    _, plain, _ = run_cli(["compare", "resnet18", "resnet34", "--json"], capsys)
+    assert json.loads(plain)["a"]["weighted_entropy"] != doc["a"]["weighted_entropy"]
+
+
+@pytest.mark.parametrize("alphas, code", [("1,2", 1), ("1,x,1,8", 2)])
+def test_compare_bad_alphas_fail_with_one_error_line(alphas, code, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "resnet18", "resnet34", "--alphas", alphas])
+    assert err.value.code == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+
+
+def test_analyzer_commands_do_not_load_the_solver_or_numpy():
+    """Only `solve` and `verify-variance` need numpy and the process pool; the
+    check runs in a fresh interpreter because this one already holds them."""
+    script = """
+import contextlib, io, sys
+from entromax.cli import main
+for argv in (["analyze", "resnet18"], ["compare", "resnet18", "resnet34"],
+             ["catalog"], ["catalog", "resnet18", "--analyze"], ["calibrate"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(" ".join(m for m in ("numpy", "concurrent.futures", "entromax.solver",
+                           "entromax.variance") if m in sys.modules))
+"""
+    src = str(Path(entromax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""

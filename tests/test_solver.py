@@ -472,3 +472,15 @@ def test_relaxed_costs_do_not_leak_into_exact_evaluations(block, groups):
         [float(w) for w in cand.widths], [float(d) for d in cand.depths])
     assert relaxed[2] != fresh.params  # the branches differ here
     assert evaluate(cand, prob) == fresh
+
+
+@pytest.mark.xfail(strict=True, reason="polish misses the argmax; ROADMAP item 4 "
+                   "(exact per-stage moves) is the planned fix")
+def test_solve_finds_the_argmax_that_its_polish_cannot_reach():
+    """A family-1 instance whose polish stops at widths (40, 48), below the
+    brute-force argmax at widths (32, 64) with the same depths (8, 4)."""
+    prob = tiny_problem(13, family=1)
+    cand, ev = brute_force(prob)
+    rep = solve(prob, SolveOptions(seed=42000083))
+    assert rep.best == cand
+    assert rep.objective == ev.objective
