@@ -125,7 +125,7 @@ def depth_uniformity_penalty(depths: Sequence[int]) -> float:
     if not len(depths):
         raise ValueError("depths must be nonempty")
     mean = math.fsum(depths) / len(depths)
-    var = math.fsum((d - mean) ** 2 for d in depths) / len(depths)
+    var = math.fsum([(d - mean) ** 2 for d in depths]) / len(depths)
     return math.exp(var)
 
 

@@ -6,7 +6,7 @@ budgets, and non-decreasing stage widths.
 
 Every candidate is costed by one stage-separable model: each stage is a
 first block plus depth - 1 repeat blocks, so params, FLOPs and entropy
-are sums of a few memoized per-block terms instead of a walk over the
+are sums of a few memoized per-stage terms instead of a walk over the
 expanded layer list.  Its exact branch serves every discrete evaluation
 and matches `metrics` over `model.expand`, the reference analyzer the
 tests hold it to; its relaxed branch takes real widths and depths.
@@ -154,8 +154,8 @@ class Candidate:
     depths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
+        object.__setattr__(self, "widths", tuple(map(int, self.widths)))
+        object.__setattr__(self, "depths", tuple(map(int, self.depths)))
 
 
 @dataclass(frozen=True)
@@ -278,17 +278,20 @@ class _StageModel:
     The exact branch counts `c_in // groups` and the floored
     squeeze-excite width as `expand` and `metrics` do; the relaxed branch
     the continuous ascent climbs takes real widths, true division and a
-    smooth squeeze-excite width.  Each instance memoizes its block costs:
-    64 and 64.0 share a key but not a cost, so branches share no memo.
-    Tests hold the exact branch to `metric_report` over `expand`.
+    smooth squeeze-excite width.  Each instance memoizes each stage under
+    (i, c_prev, c), as its block costs and entropy factor log(r_out_i^2 c),
+    and the tail (head conv and classifier) under the last width, so
+    `costs` makes one lookup per stage and one for the tail.  64 and 64.0
+    share a key but not a cost, so branches share no memo.  Tests hold the
+    exact branch to `metric_report` over `expand`.
     """
 
-    def __init__(self, prob: ProblemSpec, conventions: Conventions, exact: bool):
+    def __init__(self, prob: ProblemSpec, conventions: Conventions, exact: bool = True):
         self.prob = prob
         self.conv = conventions
         self.exact = exact
         self.path = path_roles(conventions)
-        self.memo: dict = {}
+        self.stages, self.repeats, self.tails = {}, {}, {}  # keyed (i, c_prev, c), (i, c), c
 
         stem = prob.stem
         r = prob.input_resolution
@@ -332,16 +335,29 @@ class _StageModel:
         return params, flops, logw, n_path
 
     def _block(self, i: int, c_in, c, first: bool):
-        key = (i, c_in, c, first)
-        costs = self.memo.get(key)
-        if costs is None:
-            prob = self.prob
-            stride = 2 if first and prob.downsample_schedule[i] else 1
-            plans = block_convs(prob.block, c_in, c, prob.kernel, prob.groups,
-                                stride, exact=self.exact)
-            rows, _ = resolve_rows(plans, self.r_in[i] if first else self.r_out[i])
-            costs = self.memo[key] = self._row_costs(rows)
-        return costs
+        prob = self.prob
+        stride = 2 if first and prob.downsample_schedule[i] else 1
+        plans = block_convs(prob.block, c_in, c, prob.kernel, prob.groups,
+                            stride, exact=self.exact)
+        rows, _ = resolve_rows(plans, self.r_in[i] if first else self.r_out[i])
+        return self._row_costs(rows)
+
+    def _stage(self, i: int, c_prev, c):
+        """Memoize stage i's costs; its repeat block and factor depend on c alone."""
+        repeat = self.repeats.get((i, c)) or self.repeats.setdefault(
+            (i, c), (self._block(i, c, c, False), math.log(self.r_out[i] ** 2 * c)))
+        entry = self.stages[i, c_prev, c] = (self._block(i, c_prev, c, True), *repeat)
+        return entry
+
+    def _tail(self, c_prev):
+        """Memoize (params, flops) of the head conv, if any, and the classifier."""
+        prob, head, r = self.prob, self.prob.head_channels, self.r_out[-1]
+        rows = [] if head is None else [
+            (ConvPlan(c_prev, head, 1, 1, 1, ROLE_HEAD, True, False), r, r)]
+        rows.append((ConvPlan(c_prev if head is None else head, prob.num_classes,
+                              1, 1, 1, ROLE_CLASSIFIER, False, True), 1, 1))
+        tail = self.tails[c_prev] = self._row_costs(rows)[:2]
+        return tail
 
     def costs(self, widths, depths):
         """(weighted entropy, rho, params, flops, stage params, stage flops)."""
@@ -350,25 +366,19 @@ class _StageModel:
         stage_params = []
         stage_flops = []
         stage_logw = []
+        factors = []
         c_prev = prob.stem.channels
         for i, (c, d) in enumerate(zip(widths, depths)):
-            p1, f1, l1, n1 = self._block(i, c_prev, c, True)
-            p2, f2, l2, n2 = self._block(i, c, c, False)
+            entry = self.stages.get((i, c_prev, c)) or self._stage(i, c_prev, c)
+            (p1, f1, l1, n1), (p2, f2, l2, n2), factor = entry
             k = d - 1
             stage_params.append(p1 + k * p2)
             stage_flops.append(f1 + k * f2)
             stage_logw.append(l1 + k * l2)
             n_path += n1 + k * n2
+            factors.append(factor)
             c_prev = c
-        tail = []  # the head conv, if any, and the classifier
-        if prob.head_channels is not None:
-            r = self.r_out[-1]
-            tail.append((ConvPlan(c_prev, prob.head_channels, 1, 1, 1, ROLE_HEAD,
-                                  True, False), r, r))
-            c_prev = prob.head_channels
-        tail.append((ConvPlan(c_prev, prob.num_classes, 1, 1, 1, ROLE_CLASSIFIER,
-                              False, True), 1, 1))
-        p_tail, f_tail, _, _ = self._row_costs(tail)
+        p_tail, f_tail = self.tails.get(c_prev) or self._tail(c_prev)
         params += sum(stage_params) + p_tail
         flops += sum(stage_flops) + f_tail
 
@@ -377,8 +387,8 @@ class _StageModel:
         rho = n_path / math.exp(cumulative[-1] / n_path)
         sums = stage_logw if self.conv.stagewise_entropy else cumulative
         weighted = 0.0
-        for i, (alpha, c) in enumerate(zip(prob.alphas, widths)):
-            weighted += alpha * math.log(self.r_out[i] ** 2 * c) * sums[i]
+        for alpha, factor, s in zip(prob.alphas, factors, sums):
+            weighted += alpha * factor * s
         return weighted, rho, params, flops, stage_params, stage_flops
 
     def penalized(self, widths, depths, mu: float, tol: float):
@@ -386,19 +396,18 @@ class _StageModel:
         below `tol` relative is free."""
         prob = self.prob
         weighted, rho, params, flops, _, _ = self.costs(widths, depths)
-        usage = {"rho": rho, "flops": flops, "params": params}
         obj = weighted - prob.beta * depth_uniformity_penalty(depths)
         pen = 0.0
-        for name, budget in _caps(prob):
-            excess = max(0.0, usage[name] / budget - 1.0 - tol)
+        for (_, budget), used in zip(_caps(prob), (rho, flops, params)):
+            excess = max(0.0, used / budget - 1.0 - tol)
             pen += excess * excess
         return obj - mu * pen, obj
 
 
 @functools.lru_cache(maxsize=8)
-def _model(prob: ProblemSpec, conventions: Conventions, exact: bool = True) -> _StageModel:
-    """One model, and so one block memo, per (problem, conventions, branch)."""
-    return _StageModel(prob, conventions, exact)
+def _model(prob: ProblemSpec, conventions: Conventions) -> _StageModel:
+    """One exact model, and so one stage memo, per (problem, conventions)."""
+    return _StageModel(prob, conventions)
 
 
 def evaluate(cand: Candidate, prob: ProblemSpec,
@@ -410,8 +419,9 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
     weighted, rho, params, flops, stage_params, stage_flops = _model(
         prob, conventions).costs(cand.widths, cand.depths)
     q = depth_uniformity_penalty(cand.depths)
-    usage = {"rho": rho, "flops": flops, "params": params}
-    slacks = {name: cap - usage[name] for name, cap in _caps(prob)}
+    # `_caps` spelled out, in its order: a third of the cost of building it from `_caps`
+    slacks = {"rho": prob.rho0 - rho, "flops": prob.max_flops - flops,
+              "params": prob.max_params - params}
     violations = {name: -slack for name, slack in slacks.items() if slack < 0}
     if any(a > b for a, b in zip(cand.widths, cand.widths[1:])):
         violations["monotone"] = 1.0
@@ -566,9 +576,19 @@ def _continuous_ascent(model: _StageModel, prob: ProblemSpec, w0, d0, mu: float)
     lo_d = [float(b[0]) for b in prob.depth_bounds]
     hi_d = [float(b[1]) for b in prob.depth_bounds]
 
+    # moves revisit points, the current one whenever a move clips at a
+    # bound, and scoring is deterministic: score each point once
+    scores: dict = {}
+
+    def score(w, d) -> float:
+        key = (tuple(w), tuple(d))
+        if key not in scores:
+            scores[key] = model.penalized(w, d, mu, _PENALTY_TOLERANCE)[0]
+        return scores[key]
+
     w = _monotone_box(w0, lo_w, hi_w)
     d = [min(max(float(v), lo_d[i]), hi_d[i]) for i, v in enumerate(d0)]
-    best, _ = model.penalized(w, d, mu, _PENALTY_TOLERANCE)
+    best = score(w, d)
 
     step = _STEP_INIT
     m = prob.stages
@@ -591,9 +611,9 @@ def _continuous_ascent(model: _StageModel, prob: ProblemSpec, w0, d0, mu: float)
                     trial_d = list(d)
                     trial_d[k] = min(max(trial_d[k] + sign * step * span,
                                          lo_d[k]), hi_d[k])
-                score, _ = model.penalized(trial_w, trial_d, mu, _PENALTY_TOLERANCE)
-                if score > best:
-                    best = score
+                trial = score(trial_w, trial_d)
+                if trial > best:
+                    best = trial
                     w, d = list(trial_w), list(trial_d)
                     improved = True
         if not improved:
@@ -804,7 +824,7 @@ def _run_restart(prob: ProblemSpec, opts: SolveOptions,
         # discrete search's start diversity
         ascend = restart < 3 or restart % 2 == 0
         if ascend:
-            model = _model(prob, conventions, exact=False)
+            model = _StageModel(prob, conventions, exact=False)
             mu0 = 10.0 * (1.0 + abs(model.penalized(w0, d0, 0.0, 0.0)[1]))
             mu = mu0 * (2.0 ** restart)
             w, d = _continuous_ascent(model, prob, w0, d0, mu)

@@ -32,7 +32,7 @@ from entromax.solver import (
     round_and_repair,
     solve,
 )
-from entromax.solver import _model
+from entromax.solver import _model, _StageModel
 
 
 def r18_problem(max_params=11_689_512, max_flops=1_819_040_768, rho0=0.3):
@@ -373,6 +373,67 @@ def test_trace_is_side_effect_free():
     assert traced.trace and not plain.trace
 
 
+def _shipped(name: str) -> ProblemSpec:
+    from importlib import resources
+
+    from entromax.fileio import read_problem
+
+    path = resources.files("entromax.data.problems").joinpath(f"{name}.json")
+    with resources.as_file(path) as p:
+        return read_problem(p)
+
+
+@pytest.mark.parametrize("case", ["tiny-1-3", "resnet18_scale"])
+def test_every_counted_evaluation_calls_module_evaluate(case, monkeypatch):
+    """The benchmark counts evaluations by rebinding `solver.evaluate`; a
+    single-thread solve must reach it once per evaluation it reports."""
+    if case == "resnet18_scale":
+        prob, opts = _shipped(case), SolveOptions(max_evals=600)
+    else:
+        prob, opts = tiny_problem(3, family=1), SolveOptions()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr("entromax.solver.evaluate", counting)
+    rep = solve(prob, opts)
+    assert rep.feasible
+    assert len(calls) == rep.evaluations > 0
+
+
+# widths, depths, evaluations and evaluations per restart of seed-0 traced
+# solves; the solver's memos must not move a trajectory, so these change
+# only with a declared change of design
+TRAJECTORIES = {
+    "tiny-0-1": ((24, 24, 24), (3, 3, 2), 247,
+                 (5, 5, 5, 25, 5, 63, 5, 25, 5, 22, 5, 77)),
+    "tiny-1-27": ((64, 64), (5, 4), 577,  # residual
+                  (4, 4, 4, 77, 4, 133, 4, 117, 4, 87, 4, 135)),
+    "tiny-1-3": ((32, 48), (7, 6), 1032,  # the params budget binds
+                 (25, 25, 25, 140, 46, 171, 25, 158, 97, 121, 52, 147)),
+    "resnet18_scale": ((24, 32, 88, 136), (17, 17, 20, 18), 2818,
+                       (250, 250, 68, 250, 250, 250, 250, 250, 250, 250, 250, 250)),
+    "mobilenet_scale": ((8, 32, 48, 64, 136, 144, 360), (1, 1, 1, 1, 1, 3, 1), 2869,
+                        (250, 250, 186, 243, 250, 190, 250, 250, 250, 250, 250, 250)),
+}
+
+
+@pytest.mark.parametrize("case", TRAJECTORIES)
+def test_solver_trajectories_are_pinned(case):
+    if case.startswith("tiny"):
+        _, family, seed = case.split("-")
+        prob, opts = tiny_problem(int(seed), family=int(family)), SolveOptions(trace=True)
+    else:
+        prob, opts = _shipped(case), SolveOptions(max_evals=3000, trace=True)
+    rep = solve(prob, opts)
+    widths, depths, evaluations, per_restart = TRAJECTORIES[case]
+    assert rep.best == Candidate(widths, depths)
+    assert rep.evaluations == evaluations
+    assert tuple(note["evaluations"] for note in rep.trace) == per_restart
+
+
 # --- the stage-separable model against expand + metrics -------------------------
 
 BLOCKS = {
@@ -443,7 +504,7 @@ def test_stage_model_matches_expand_and_metrics(block, data):
 
         if divisions_exact:
             # the relaxed branch at the same inputs as floats
-            relaxed = _model(prob, conv, exact=False).costs(
+            relaxed = _StageModel(prob, conv, exact=False).costs(
                 [float(w) for w in cand.widths], [float(d) for d in cand.depths])
             exact = _model(prob, conv).costs(cand.widths, cand.depths)
             for r, e in zip(relaxed[:4], exact[:4]):
@@ -468,7 +529,7 @@ def test_relaxed_costs_do_not_leak_into_exact_evaluations(block, groups):
     _model.cache_clear()
     fresh = evaluate(cand, prob)
     _model.cache_clear()
-    relaxed = _model(prob, PINNED, exact=False).costs(
+    relaxed = _StageModel(prob, PINNED, exact=False).costs(
         [float(w) for w in cand.widths], [float(d) for d in cand.depths])
     assert relaxed[2] != fresh.params  # the branches differ here
     assert evaluate(cand, prob) == fresh
