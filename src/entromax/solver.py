@@ -12,7 +12,8 @@ and matches `metrics` over `model.expand`, the reference analyzer the
 tests hold it to; its relaxed branch takes real widths and depths.
 
 Solution method (no external solver dependency, validated against the
-brute-force oracle below):
+brute-force oracle below, which screens its lattice in float64, confirms
+the contenders exactly and takes its 10^6-point cap in well under a second):
 
   phase 1  continuous relaxation: widths and depths treated as reals,
            multi-start projected coordinate ascent on an exterior-penalty
@@ -391,6 +392,30 @@ class _StageModel:
             weighted += alpha * factor * s
         return weighted, rho, params, flops, stage_params, stage_flops
 
+    def grid(self, chains, depth_vecs):
+        """`costs`'s weighted entropy, rho, params and flops of each width
+        chain under each depth vector, as float64 arrays of shape
+        (len(chains), len(depth_vecs)).  Params and FLOPs are exact below
+        2**53; entropy and rho sum in another order, so may differ by ulps."""
+        entries = [self.stages.get((i, c_prev, c)) or self._stage(i, c_prev, c)
+                   for chain in chains
+                   for i, (c_prev, c) in enumerate(zip((self.prob.stem.channels, *chain), chain))]
+        shape = (len(chains), self.prob.stages, 4)  # params, flops, logw, path convs
+        first, repeat = (np.array([e[j] for e in entries], dtype=float).reshape(shape)
+                         for j in (0, 1))
+        first[:, 0] += self.stem  # the stem counts toward stage 0, the tail toward the last
+        first[:, -1, :2] += [self.tails.get(ch[-1]) or self._tail(ch[-1]) for ch in chains]
+        k = np.asarray(depth_vecs, dtype=float).T - 1.0
+        params, flops, logw, n_path = (
+            first[..., j].sum(axis=1)[:, None] + repeat[..., j] @ k for j in range(4))
+        # stage i's entropy sum weighs alpha_i * factor_i, and with cumulative
+        # sums stage j's log widths count toward every stage i >= j
+        w = np.array(self.prob.alphas) * np.reshape([e[2] for e in entries], shape[:2])
+        if not self.conv.stagewise_entropy:
+            w = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+        weighted = (w * first[..., 2]).sum(axis=1)[:, None] + (w * repeat[..., 2]) @ k
+        return weighted, n_path / np.exp(logw / n_path), params, flops
+
     def penalized(self, widths, depths, mu: float, tol: float):
         """(objective - mu * exterior penalty, objective); budget excess
         below `tol` relative is free."""
@@ -489,10 +514,29 @@ def lattice_size(prob: ProblemSpec) -> int:
     return n
 
 
+# the screen's float64 costs differ from `evaluate`'s by a few ulps, far
+# below this relative margin
+_SCREEN_TOL = 1e-9
+
+
 def brute_force(prob: ProblemSpec, conventions: Conventions = PINNED,
                 max_enumeration: int = 1_000_000,
                 ) -> tuple[Candidate, CandidateEval]:
-    """Exhaustive feasible argmax over the lattice (oracle for solve)."""
+    """Exhaustive feasible argmax over the lattice (oracle for solve).
+
+    Screen, then confirm.  `_StageModel.grid` costs every point in float64;
+    its excess is `_binding`'s relative violation, and its objective lies
+    within +-`_SCREEN_TOL` * (|entropy| + beta * q + 1).  Points with excess
+    <= `_SCREEN_TOL` whose upper end reaches the best lower end among surely
+    feasible ones (excess < -`_SCREEN_TOL`) go through `evaluate` in
+    enumeration order and `_better`; if none is feasible, the first least
+    `_binding` among points near the least excess is raised.  Entropy terms
+    are nonnegative and counts exact below 2**53, so the screen errs by ulps
+    and always keeps the argmax, its ties and the least-`_binding` points:
+    the outcome is exact.  Memory: two float64 arrays over the lattice and
+    one chunk's temporaries (22 MB at 8.8e5 points); the 1e6-point cap
+    takes well under a second.
+    """
     prob.check()
     size = lattice_size(prob)
     if size > max_enumeration:
@@ -502,29 +546,41 @@ def brute_force(prob: ProblemSpec, conventions: Conventions = PINNED,
     width_axes = [range(math.ceil(lo / g) * g, (hi // g) * g + 1, g)
                   for lo, hi in prob.width_bounds]
     depth_axes = [range(lo, hi + 1) for lo, hi in prob.depth_bounds]
+    # monotonicity is structural: non-monotone chains are not lattice points
+    chains = [w for w in itertools.product(*width_axes)
+              if all(a <= b for a, b in zip(w, w[1:]))]
+    depth_vecs = list(itertools.product(*depth_axes))
+    depth_array = np.array(depth_vecs)
 
-    best: tuple[Candidate, CandidateEval] | None = None
-    tightest: tuple[float, str] | None = None
-    for widths in itertools.product(*width_axes):
-        if any(a > b for a, b in zip(widths, widths[1:])):
-            continue  # monotonicity is structural; skip without evaluating
-        for depths in itertools.product(*depth_axes):
-            cand = Candidate(widths, depths)
-            ev = evaluate(cand, prob, conventions)
-            if ev.feasible:
-                entry = (cand, ev)
-                if best is None or _better(entry, best):
-                    best = entry
-            else:
-                name, rel = _binding(ev, prob)
-                if tightest is None or rel < tightest[0]:
-                    tightest = (rel, name)
-    if best is None:
-        binding = tightest[1] if tightest else "bounds"
-        raise InfeasibleProblem(
-            f"no feasible candidate in the lattice; tightest violated "
-            f"constraint: {binding}", binding)
-    return best
+    model = _model(prob, conventions)
+    beta_q = prob.beta * np.array([depth_uniformity_penalty(d) for d in depth_vecs])
+    upper = np.empty((len(chains), len(depth_vecs)))
+    excess = np.empty_like(upper)
+    best_lower = -math.inf
+    step = max(1, (1 << 16) // len(depth_vecs))  # chunks bound grid's temporaries
+    for s in range(0, len(chains), step):
+        weighted, rho, params, flops = model.grid(chains[s:s + step], depth_array)
+        obj, err = weighted - beta_q, _SCREEN_TOL * (np.abs(weighted) + beta_q + 1.0)
+        upper[s:s + step] = obj + err
+        excess[s:s + step] = np.maximum(np.maximum(
+            rho / prob.rho0, flops / prob.max_flops), params / prob.max_params) - 1.0
+        surely = excess[s:s + step] < -_SCREEN_TOL
+        best_lower = max(best_lower, (obj - err)[surely].max(initial=-math.inf))
+
+    def confirmed(mask):  # row-major order is the enumeration order
+        cands = (Candidate(chains[n], depth_vecs[j]) for n, j in zip(*np.nonzero(mask)))
+        return [(cand, evaluate(cand, prob, conventions)) for cand in cands]
+
+    found = [e for e in confirmed((excess <= _SCREEN_TOL) & (upper >= best_lower))
+             if e[1].feasible]
+    if found:
+        return functools.reduce(lambda best, e: e if _better(e, best) else best, found)
+    # no contender is feasible, so no point is; `min` keeps the first least
+    near = excess <= excess.min() + _SCREEN_TOL * (1.0 + abs(excess.min()))
+    binding = min((_binding(ev, prob) for _, ev in confirmed(near)), key=lambda b: b[1])[0]
+    raise InfeasibleProblem(
+        f"no feasible candidate in the lattice; tightest violated "
+        f"constraint: {binding}", binding)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +660,11 @@ def _continuous_ascent(model: _StageModel, prob: ProblemSpec, w0, d0, mu: float)
                 if is_width:
                     trial_w = list(w)
                     trial_w[k] += sign * step * span
-                    trial_w = _monotone_box(trial_w, lo_w, hi_w)
+                    # w lies on the monotone box, so a trial between its
+                    # neighbours and inside the box is its own projection
+                    if not (max(lo_w[k], w[k - 1] if k else -math.inf) <= trial_w[k]
+                            <= min(hi_w[k], w[k + 1] if k + 1 < m else math.inf)):
+                        trial_w = _monotone_box(trial_w, lo_w, hi_w)
                     trial_d = d
                 else:
                     trial_w = w

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import tiny_problem
 from entromax.blocks import BlockKind
 from entromax.catalog import reference
-from entromax.conventions import PINNED, all_conventions
+from entromax.conventions import PINNED, Conventions, all_conventions
 from entromax.metrics import (
     count_flops,
     count_params,
@@ -32,7 +35,7 @@ from entromax.solver import (
     round_and_repair,
     solve,
 )
-from entromax.solver import _model, _StageModel
+from entromax.solver import _better, _binding, _granular_bounds, _model, _neighbors, _StageModel
 
 
 def r18_problem(max_params=11_689_512, max_flops=1_819_040_768, rho0=0.3):
@@ -238,6 +241,123 @@ def test_brute_force_rejects_oversized_lattice():
     assert lattice_size(prob) > 10**6
     with pytest.raises(ValueError, match="lattice"):
         brute_force(prob)
+
+
+def _scan(prob, conventions=PINNED):
+    """The exhaustive scalar scan: every monotone lattice point through
+    `evaluate`, in enumeration order.  The reference the screened
+    `brute_force` is held to."""
+    g = prob.width_granularity
+    width_axes = [range(math.ceil(lo / g) * g, (hi // g) * g + 1, g)
+                  for lo, hi in prob.width_bounds]
+    depth_axes = [range(lo, hi + 1) for lo, hi in prob.depth_bounds]
+    best = tightest = None
+    for widths in itertools.product(*width_axes):
+        if any(a > b for a, b in zip(widths, widths[1:])):
+            continue
+        for depths in itertools.product(*depth_axes):
+            cand = Candidate(widths, depths)
+            ev = evaluate(cand, prob, conventions)
+            if ev.feasible:
+                if best is None or _better((cand, ev), best):
+                    best = (cand, ev)
+            else:
+                name, rel = _binding(ev, prob)
+                if tightest is None or rel < tightest[0]:
+                    tightest = (rel, name)
+    if best is None:
+        binding = tightest[1] if tightest else "bounds"
+        raise InfeasibleProblem(
+            f"no feasible candidate in the lattice; tightest violated "
+            f"constraint: {binding}", binding)
+    return best
+
+
+def _outcome(oracle, prob, conventions):
+    try:
+        return oracle(prob, conventions)
+    except InfeasibleProblem as err:
+        return err.binding, str(err)
+
+
+def _corners(prob):
+    """Evaluations of the cheapest and the most expensive lattice corner."""
+    lo_g, hi_g = _granular_bounds(prob)
+    return tuple(evaluate(Candidate(w, tuple(b[k] for b in prob.depth_bounds)), prob)
+                 for k, w in enumerate((lo_g, hi_g)))
+
+
+def _tightened(prob):
+    """Variants where rho, FLOPs or params binds, and three infeasible ones."""
+    lo, hi = _corners(prob)
+    replace = dataclasses.replace
+    return {
+        "rho": replace(prob, rho0=lo.rho * 1.05),
+        "flops": replace(prob, max_flops=int(lo.flops + 0.3 * (hi.flops - lo.flops))),
+        "params": replace(prob, max_params=int(lo.params + 0.3 * (hi.params - lo.params))),
+        "no-params": replace(prob, max_params=lo.params - 1),
+        "no-rho": replace(prob, rho0=min(lo.rho, hi.rho) * 0.5),
+        "no-rho-flops": replace(prob, rho0=lo.rho * 0.99, max_flops=int(lo.flops * 0.98)),
+    }
+
+
+def _oracle_cases():
+    cases = {f"tiny-{f}-{s}": (tiny_problem(s, family=f), PINNED)
+             for f, seeds in ((0, range(12)), (1, range(6))) for s in seeds}
+    for f, s in ((0, 0), (0, 1), (0, 2), (1, 4)):
+        for name, prob in _tightened(tiny_problem(s, family=f)).items():
+            cases[f"tiny-{f}-{s}-{name}"] = (prob, PINNED)
+    # every objective is 0: only params, then widths, then depths decide
+    ties = dataclasses.replace(tiny_problem(5), alphas=(0.0,) * tiny_problem(5).stages,
+                               beta=0.0)
+    cases["all-ties"] = (ties, PINNED)
+    cases["all-ties-params"] = (_tightened(ties)["params"], PINNED)
+    # budgets equal to the argmax's own costs: it lies on the boundary
+    for f, s in ((0, 3), (1, 5)):
+        prob = tiny_problem(s, family=f)
+        _, ev = _scan(prob)
+        cases[f"tiny-{f}-{s}-boundary"] = (dataclasses.replace(
+            prob, rho0=ev.rho, max_flops=ev.flops, max_params=ev.params), PINNED)
+    # the two points' least violations tie at exactly 1.0, the first's by
+    # rho and the second's by params: the first in enumeration order names it
+    base = ProblemSpec(
+        block=BlockKind.plain(), stages=1, alphas=(1.0,), rho0=1.0,
+        max_flops=10**14, max_params=10**12, input_resolution=32,
+        downsample_schedule=(False,), width_bounds=((8, 16),), depth_bounds=((2, 2),),
+        num_classes=10, stem=StemSpec(channels=8, kernel=3, stride=2))
+    narrow, wide = (evaluate(Candidate((w,), (2,)), base) for w in (8, 16))
+    cases["binding-tie"] = (dataclasses.replace(
+        base, rho0=narrow.rho / 2, max_params=wide.params // 2), PINNED)
+    cases["stagewise"] = (tiny_problem(6), Conventions(stagewise_entropy=True,
+                                                       entropy_include_stem=False))
+    cases["no-bn-params"] = (_tightened(tiny_problem(7))["params"],
+                             Conventions(params_include_bn=False))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_brute_force_equals_the_exhaustive_scan(case):
+    prob, conv = ORACLE_CASES[case]
+    assert _outcome(brute_force, prob, conv) == _outcome(_scan, prob, conv)
+
+
+def test_brute_force_on_a_large_lattice_is_a_local_optimum():
+    """A 3-stage lattice of 512,000 points, every width chain monotone."""
+    prob = ProblemSpec(
+        block=BlockKind.plain(), stages=3, alphas=(1.0, 2.0, 4.0), rho0=0.6,
+        max_flops=40_000_000, max_params=1_000_000, input_resolution=32,
+        downsample_schedule=(False, True, True),
+        width_bounds=((8, 32), (40, 64), (72, 96)), depth_bounds=((1, 20),) * 3,
+        num_classes=10, stem=StemSpec(channels=8, kernel=3, stride=2))
+    assert lattice_size(prob) >= 5 * 10**5
+    best = brute_force(prob)
+    assert best[1].feasible
+    for cand in _neighbors(best[0], prob):
+        ev = evaluate(cand, prob)
+        assert not (ev.feasible and _better((cand, ev), best)), cand
 
 
 # --- round and repair --------------------------------------------------------------
@@ -509,6 +629,57 @@ def test_stage_model_matches_expand_and_metrics(block, data):
             exact = _model(prob, conv).costs(cand.widths, cand.depths)
             for r, e in zip(relaxed[:4], exact[:4]):
                 assert _close(r, e)
+
+
+GRID_CONVENTIONS = (
+    PINNED,
+    Conventions(stagewise_entropy=True),
+    Conventions(params_include_bn=False, flops_bn_cost=0),
+    Conventions(entropy_include_stem=False, entropy_include_shortcut=True),
+)
+
+
+def _assert_grid_matches_costs(prob, chains, depth_vecs):
+    """Every cell of `grid` against scalar `costs`: entropy and rho within
+    1e-12 relative, params and FLOPs exactly while below 2**53."""
+    for conv in GRID_CONVENTIONS:
+        model = _StageModel(prob, conv)
+        weighted, rho, params, flops = model.grid(chains, depth_vecs)
+        for n, chain in enumerate(chains):
+            for j, depths in enumerate(depth_vecs):
+                want = model.costs(chain, depths)
+                assert _close(weighted[n, j], want[0]) and _close(rho[n, j], want[1])
+                for got, count in ((params[n, j], want[2]), (flops[n, j], want[3])):
+                    assert got == count if count < 2**53 else _close(got, count)
+
+
+@pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_matches_costs_on_block_variants(block, data):
+    prob, cand = data.draw(model_cases(block))
+    m = prob.stages
+    _assert_grid_matches_costs(prob, [cand.widths, tuple(sorted(cand.widths))],
+                               [cand.depths, (1,) * m, (4,) * m])
+
+
+@pytest.mark.parametrize("name", ["resnet18_scale", "resnet34_scale", "resnet50_scale",
+                                  "mobilenet_scale", "efficientnet_b0_scale"])
+def test_grid_matches_costs_on_shipped_problems(name):
+    prob = _shipped(name)
+    lo_g, hi_g = _granular_bounds(prob)
+    g = prob.width_granularity
+    rng = np.random.default_rng(0)
+    chains = [tuple(hi_g)]
+    for _ in range(3):
+        w = []
+        for lo, hi in zip(lo_g, hi_g):  # prefix max keeps the chain monotone
+            w.append(min(max([int(rng.integers(lo // g, hi // g + 1)) * g] + w[-1:]), hi))
+        chains.append(tuple(w))
+    depth_vecs = [tuple(hi for _, hi in prob.depth_bounds)] + [
+        tuple(int(rng.integers(lo, hi + 1)) for lo, hi in prob.depth_bounds)
+        for _ in range(3)]
+    _assert_grid_matches_costs(prob, chains, depth_vecs)
 
 
 @pytest.mark.parametrize("block, groups", [
