@@ -60,6 +60,7 @@ def _read_document(path_or_name: str, kind: str) -> dict:
 
 
 def _load_network(path_or_name: str, allow_unknown: bool) -> NetworkSpec:
+    """The parsed network, validated: its metric reports need not check it again."""
     net = network_from_dict(_read_document(path_or_name, "architecture"),
                             allow_unknown=allow_unknown)
     violations = validate(net)
@@ -114,7 +115,7 @@ def cmd_analyze(args) -> int:
     net = _load_network(args.architecture, args.allow_unknown)
     conv = _conventions(args)
     alphas = _alphas(args, len(net.stages))
-    report = metric_report(net, alphas, conv)
+    report = metric_report(net, alphas, conv, check=False)
     doc = dumps(metrics_to_dict(report, conv))
     if args.out:
         Path(args.out).write_text(doc)
@@ -162,7 +163,7 @@ def cmd_compare(args) -> int:
     net_a = _load_network(args.arch_a, args.allow_unknown)
     net_b = _load_network(args.arch_b, args.allow_unknown)
     conv = _conventions(args)
-    a, b = (metric_report(net, _alphas(args, len(net.stages)), conv)
+    a, b = (metric_report(net, _alphas(args, len(net.stages)), conv, check=False)
             for net in (net_a, net_b))
     fields = [
         ("weighted_entropy", a.weighted_entropy, b.weighted_entropy),
@@ -243,7 +244,7 @@ def cmd_catalog(args) -> int:
         _fail(str(exc), 2)
     if args.analyze:
         conv = _conventions(args)
-        report = metric_report(entry.spec, None, conv)
+        report = metric_report(entry.spec, None, conv, check=False)  # validated on load
         sys.stdout.write(dumps(metrics_to_dict(report, conv)))
     else:
         sys.stdout.write(dumps(network_to_dict(entry.spec)))

@@ -219,13 +219,14 @@ def monotone_width_check(net: NetworkSpec) -> bool:
 
 
 def metric_report(net: NetworkSpec, alphas: Sequence[float] | None = None,
-                  conventions: Conventions = PINNED) -> MetricReport:
+                  conventions: Conventions = PINNED, check: bool = True) -> MetricReport:
     """One-pass computation of the full report (single expansion).
 
     Alphas default to (1, ..., 1, 8), the last stage's entropy weighted
-    eight times; a single stage gets weight 1.
+    eight times; a single stage gets weight 1.  `check=False` skips
+    `expand`'s validation, for callers that have validated `net` already.
     """
-    layers = expand(net)
+    layers = expand(net, check=check)
     if alphas is None:
         m = len(net.stages)
         alphas = [1.0] * (m - 1) + [8.0] if m > 1 else [1.0]

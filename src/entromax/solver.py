@@ -10,6 +10,11 @@ are sums of a few memoized per-stage terms instead of a walk over the
 expanded layer list.  Its exact branch serves every discrete evaluation
 and matches `metrics` over `model.expand`, the reference analyzer the
 tests hold it to; its relaxed branch takes real widths and depths.
+`evaluate` keeps the exact results of the (problem, conventions) objects
+it saw last, found by identity and keyed by candidate, and clears them
+at `_MEMO_CAP` = 512 entries: restarts revisit most lattice points, and a
+repeat costs a dict lookup.  Every counted evaluation still calls
+`evaluate` once, so counts and trajectories do not depend on the memo.
 
 Solution method (no external solver dependency, validated against the
 brute-force oracle below, which screens its lattice in float64, confirms
@@ -43,7 +48,6 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -435,14 +439,33 @@ def _model(prob: ProblemSpec, conventions: Conventions) -> _StageModel:
     return _StageModel(prob, conventions)
 
 
+# (problem, conventions, model, {Candidate: CandidateEval}) of the pair
+# evaluated last; swapped whole, so no caller pairs one problem's key with
+# another's results
+_MEMO_CAP = 512
+_memo: tuple = (None, None, None, {})
+
+
 def evaluate(cand: Candidate, prob: ProblemSpec,
              conventions: Conventions = PINNED) -> CandidateEval:
     """Authoritative discrete evaluation: the exact branch of the
     stage-separable model, which counts what `metric_report` counts over
-    the realized network's expansion."""
+    the realized network's expansion.
+
+    A repeat under the same problem and conventions objects returns the
+    memoized `CandidateEval` itself: treat its dicts as read-only.
+    """
+    global _memo
+    owner, owner_conv, model, known = _memo
+    if owner is not prob or owner_conv is not conventions:
+        model, known = _model(prob, conventions), {}
+        _memo = (prob, conventions, model, known)
+    ev = known.get(cand)
+    if ev is not None:
+        return ev
     _check_candidate(cand, prob)
-    weighted, rho, params, flops, stage_params, stage_flops = _model(
-        prob, conventions).costs(cand.widths, cand.depths)
+    weighted, rho, params, flops, stage_params, stage_flops = model.costs(
+        cand.widths, cand.depths)
     q = depth_uniformity_penalty(cand.depths)
     # `_caps` spelled out, in its order: a third of the cost of building it from `_caps`
     slacks = {"rho": prob.rho0 - rho, "flops": prob.max_flops - flops,
@@ -450,7 +473,9 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
     violations = {name: -slack for name, slack in slacks.items() if slack < 0}
     if any(a > b for a, b in zip(cand.widths, cand.widths[1:])):
         violations["monotone"] = 1.0
-    return CandidateEval(
+    if len(known) >= _MEMO_CAP:
+        known.clear()
+    ev = known[cand] = CandidateEval(
         objective=weighted - prob.beta * q,
         weighted_entropy=weighted,
         q=q,
@@ -463,6 +488,7 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
         stage_params=tuple(stage_params),
         stage_flops=tuple(stage_flops),
     )
+    return ev
 
 
 def objective(cand: Candidate, prob: ProblemSpec,
@@ -473,7 +499,7 @@ def objective(cand: Candidate, prob: ProblemSpec,
 def feasible(cand: Candidate, prob: ProblemSpec,
              conventions: Conventions = PINNED) -> tuple[bool, dict]:
     ev = evaluate(cand, prob, conventions)
-    return ev.feasible, ev.violations
+    return ev.feasible, dict(ev.violations)  # a copy: `ev` may be shared
 
 
 def _better(a: tuple[Candidate, CandidateEval],
@@ -505,10 +531,20 @@ def _binding(ev: CandidateEval, prob: ProblemSpec) -> tuple[str, float]:
 
 
 def lattice_size(prob: ProblemSpec) -> int:
-    n = 1
+    """The points `brute_force` costs: monotone width chains times depth vectors."""
+    lo_g, hi_g = _granular_bounds(prob)
     g = prob.width_granularity
-    for lo, hi in prob.width_bounds:
-        n *= max(0, hi // g - math.ceil(lo / g) + 1)
+    if any(lo > hi for lo, hi in zip(lo_g, hi_g)):
+        return 0
+    # ends[j]: monotone chains up to stage i that end at its j-th width;
+    # both bounds rise with i, so stage i's width w follows every chain up
+    # to stage i - 1 that ends at or below min(w, hi_g[i - 1])
+    ends = [1] * ((hi_g[0] - lo_g[0]) // g + 1)
+    for i in range(1, len(lo_g)):
+        below = list(itertools.accumulate(ends))
+        ends = [below[(min(w, hi_g[i - 1]) - lo_g[i - 1]) // g]
+                for w in range(lo_g[i], hi_g[i] + 1, g)]
+    n = sum(ends)
     for lo, hi in prob.depth_bounds:
         n *= hi - lo + 1
     return n
@@ -542,14 +578,14 @@ def brute_force(prob: ProblemSpec, conventions: Conventions = PINNED,
     if size > max_enumeration:
         raise ValueError(f"lattice has {size} points, above the cap {max_enumeration}")
 
+    # monotonicity is structural: only monotone chains are lattice points,
+    # built in enumeration (lexicographic) order; within the granular
+    # bounds every monotone prefix extends
     g = prob.width_granularity
-    width_axes = [range(math.ceil(lo / g) * g, (hi // g) * g + 1, g)
-                  for lo, hi in prob.width_bounds]
-    depth_axes = [range(lo, hi + 1) for lo, hi in prob.depth_bounds]
-    # monotonicity is structural: non-monotone chains are not lattice points
-    chains = [w for w in itertools.product(*width_axes)
-              if all(a <= b for a, b in zip(w, w[1:]))]
-    depth_vecs = list(itertools.product(*depth_axes))
+    chains = [()]
+    for lo, hi in zip(*_granular_bounds(prob)):
+        chains = [c + (w,) for c in chains for w in range(max((lo, *c[-1:])), hi + 1, g)]
+    depth_vecs = list(itertools.product(*(range(lo, hi + 1) for lo, hi in prob.depth_bounds)))
     depth_array = np.array(depth_vecs)
 
     model = _model(prob, conventions)
@@ -919,6 +955,9 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
     caps = _restart_caps(opts.max_evals, opts.restarts)
 
     if opts.threads > 1:
+        # imported here: a single-thread solve need not load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=opts.threads) as pool:
             outcomes = list(pool.map(
                 _run_restart,
@@ -956,6 +995,6 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
             infeasibility, _ = _binding(ev, prob)
     return SolveReport(
         best=cand, objective=ev.objective if cand is not None else -math.inf,
-        feasible=cand is not None, slacks=ev.slacks, restarts_used=opts.restarts,
+        feasible=cand is not None, slacks=dict(ev.slacks), restarts_used=opts.restarts,
         evaluations=evaluations, wall_time=time.perf_counter() - t0,
         budget_exhausted=exhausted, infeasibility=infeasibility, trace=trace)

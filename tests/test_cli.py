@@ -11,6 +11,7 @@ from entromax.cli import main
 from entromax.fileio import dumps, network_to_dict, problem_to_dict
 from entromax.catalog import reference
 from entromax.conventions import PINNED
+from entromax.model import validate
 
 from conftest import tiny_problem
 
@@ -262,3 +263,42 @@ print(" ".join(m for m in ("numpy", "concurrent.futures", "entromax.solver",
                          text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def test_single_thread_solve_does_not_load_the_process_pool():
+    """`concurrent.futures.process` costs a solve process about 17 ms to
+    import; only a solve with more than one thread uses it."""
+    script = """
+import contextlib, io, sys
+from entromax.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["solve", "--problem", "resnet18_scale", "--max-evals", "200",
+                 "--threads", "1"]) == 0
+print(" ".join(m for m in ("concurrent.futures.process", "multiprocessing")
+               if m in sys.modules))
+"""
+    src = str(Path(entromax.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("argv, validations", [
+    (["analyze", "resnet18"], 1),
+    (["catalog", "resnet50", "--analyze"], 1),
+    (["compare", "resnet18", "mobilenet_v2", "--json"], 2),
+    (["calibrate"], 5),
+])
+def test_analyzers_validate_each_network_once(argv, validations, monkeypatch, capsys):
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return validate(net)
+
+    for module in ("entromax.model", "entromax.cli", "entromax.catalog"):
+        monkeypatch.setattr(f"{module}.validate", counting)
+    assert main(argv) == 0
+    assert len(calls) == validations

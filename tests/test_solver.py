@@ -35,6 +35,7 @@ from entromax.solver import (
     round_and_repair,
     solve,
 )
+from entromax import solver as solver_module
 from entromax.solver import _better, _binding, _granular_bounds, _model, _neighbors, _StageModel
 
 
@@ -205,6 +206,85 @@ def test_budget_boundary_is_inclusive():
     assert ok
 
 
+# --- the evaluation memo ---------------------------------------------------------
+
+def _cold(cand, prob, conventions=PINNED):
+    """`evaluate` on an equal copy of the problem, which the memo does not know."""
+    return evaluate(cand, dataclasses.replace(prob), conventions)
+
+
+def _some_candidates(prob, n):
+    """The first `n` monotone lattice points at two depth vectors."""
+    lo_g, hi_g = _granular_bounds(prob)
+    g = prob.width_granularity
+    chains = [w for w in itertools.product(*(range(lo, hi + 1, g) for lo, hi in zip(lo_g, hi_g)))
+              if all(a <= b for a, b in zip(w, w[1:]))]
+    depths = [tuple(b[k] for b in prob.depth_bounds) for k in (0, 1)]
+    return [Candidate(w, d) for w in chains for d in depths][:n]
+
+
+def test_a_repeat_evaluation_is_served_from_the_memo():
+    prob = tiny_problem(3, family=1)
+    cand = _some_candidates(prob, 1)[0]
+    first = evaluate(cand, prob)
+    assert evaluate(cand, prob) is first
+    assert evaluate(Candidate(list(cand.widths), list(cand.depths)), prob) is first
+    assert _cold(cand, prob) == first and _cold(cand, prob) is not first
+
+
+def test_callers_cannot_change_a_memoized_evaluation():
+    """`solve`'s report and `feasible` hand out copies of the memoized
+    slacks and violations, so mutating them changes no later evaluation."""
+    prob = tiny_problem(3, family=1)
+    rep = solve(prob, SolveOptions(restarts=3))
+    rep.slacks.clear()
+    assert evaluate(rep.best, prob).slacks == _cold(rep.best, prob).slacks != {}
+
+    tight = dataclasses.replace(prob, max_params=10, rho0=1e-3)
+    cand = _some_candidates(tight, 1)[0]
+    ok, violations = feasible(cand, tight)
+    assert not ok and set(violations) == {"params", "rho"}
+    violations.clear()
+    assert feasible(cand, tight)[1] == evaluate(cand, tight).violations == \
+        _cold(cand, tight).violations
+    assert set(evaluate(cand, tight).violations) == {"params", "rho"}
+
+    infeasible = solve(tight, SolveOptions(restarts=2))
+    assert not infeasible.feasible
+    infeasible.slacks["params"] = 0
+    assert evaluate(solver_module._cheapest(tight), tight).slacks["params"] < 0
+
+
+def test_interleaved_problems_and_conventions_match_cold_evaluations():
+    base = tiny_problem(3, family=1)
+    probs = (base, dataclasses.replace(base, alphas=(2.0, 0.5), max_params=base.max_params // 2))
+    convs = (PINNED, Conventions(params_include_bn=False, stagewise_entropy=True))
+    cands = _some_candidates(base, 6)
+    pairs = list(itertools.product(probs, convs))
+    cold = {(n, c): _cold(cand, *pair) for n, pair in enumerate(pairs)
+            for c, cand in enumerate(cands)}
+    # the four pairs cost each candidate differently
+    assert all(len({repr(cold[n, c]) for n in range(4)}) == 4 for c in range(len(cands)))
+    for c, cand in enumerate(cands):  # every call switches the pair
+        for n, (prob, conv) in enumerate(pairs):
+            assert evaluate(cand, prob, conv) == cold[n, c]
+    for n, (prob, conv) in enumerate(pairs):  # a miss, then a hit
+        for c, cand in enumerate(cands):
+            assert evaluate(cand, prob, conv) == evaluate(cand, prob, conv) == cold[n, c]
+
+
+def test_the_evaluation_memo_never_exceeds_its_cap(monkeypatch):
+    monkeypatch.setattr(solver_module, "_MEMO_CAP", 8)
+    prob = tiny_problem(3, family=1)
+    cands = _some_candidates(prob, 30)
+    cold = [_cold(cand, prob) for cand in cands]
+    sizes = []
+    for cand, want in zip(cands + cands[::-1], cold + cold[::-1]):
+        assert evaluate(cand, prob) == want
+        sizes.append(len(solver_module._memo[3]))
+    assert max(sizes) == 8
+
+
 # --- brute force -----------------------------------------------------------------
 
 def test_brute_force_single_point_lattice():
@@ -241,6 +321,37 @@ def test_brute_force_rejects_oversized_lattice():
     assert lattice_size(prob) > 10**6
     with pytest.raises(ValueError, match="lattice"):
         brute_force(prob)
+
+
+def test_lattice_size_counts_only_monotone_width_chains():
+    """816 monotone chains of three widths in 8..128 times 1,000 depth
+    vectors: the full width product would be 4,096,000 points."""
+    prob = ProblemSpec(
+        block=BlockKind.plain(), stages=3, alphas=(1.0, 2.0, 4.0), rho0=0.6,
+        max_flops=40_000_000, max_params=1_000_000, input_resolution=32,
+        downsample_schedule=(False, True, True),
+        width_bounds=((8, 128),) * 3, depth_bounds=((1, 10),) * 3,
+        num_classes=10, stem=StemSpec(channels=8, kernel=3, stride=2))
+    assert lattice_size(prob) == 816_000
+    _, ev = brute_force(prob)
+    assert ev.feasible
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lattice_size_matches_enumeration(seed):
+    """Bounds off the granularity, empty and non-nested axes included."""
+    rng = np.random.default_rng(seed)
+    m, g = int(rng.integers(1, 5)), int(rng.choice([1, 3, 8]))
+    width_bounds = []
+    for _ in range(m):
+        lo = int(rng.integers(1, 6 * g))
+        width_bounds.append((lo, lo + int(rng.integers(0, 12 * g))))
+    depth_bounds = tuple((lo, lo + int(rng.integers(0, 3))) for lo in rng.integers(1, 4, m))
+    prob = dataclasses.replace(tiny_problem(0), stages=m, width_granularity=g,
+                               width_bounds=tuple(width_bounds), depth_bounds=depth_bounds)
+    axes = [range(math.ceil(lo / g) * g, (hi // g) * g + 1, g) for lo, hi in width_bounds]
+    chains = sum(all(a <= b for a, b in zip(w, w[1:])) for w in itertools.product(*axes))
+    assert lattice_size(prob) == chains * math.prod(hi - lo + 1 for lo, hi in depth_bounds)
 
 
 def _scan(prob, conventions=PINNED):
@@ -703,11 +814,13 @@ def test_relaxed_costs_do_not_leak_into_exact_evaluations(block, groups):
     relaxed = _StageModel(prob, PINNED, exact=False).costs(
         [float(w) for w in cand.widths], [float(d) for d in cand.depths])
     assert relaxed[2] != fresh.params  # the branches differ here
-    assert evaluate(cand, prob) == fresh
+    # an equal copy of the problem misses the evaluation memo
+    assert evaluate(cand, dataclasses.replace(prob)) == fresh
 
 
-@pytest.mark.xfail(strict=True, reason="polish misses the argmax; ROADMAP item 4 "
-                   "(exact per-stage moves) is the planned fix")
+@pytest.mark.xfail(strict=True, reason="polish misses the argmax; [block-polish] is the "
+                   "planned fix; oracle-tiny fails on it at seeds 29, 36, 42, 56, 102, "
+                   "104, 113, 211, 304, 328, 402, 407 and 410")
 def test_solve_finds_the_argmax_that_its_polish_cannot_reach():
     """A family-1 instance whose polish stops at widths (40, 48), below the
     brute-force argmax at widths (32, 64) with the same depths (8, 4)."""
