@@ -126,7 +126,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    # numpy and the process pool load here, so the other commands start without them
+    # the solver loads here, so the other commands start without it; a solve
+    # loads no numpy, and the process pool only with more than one thread
     from .solver import SolveOptions, realize, solve
 
     prob = problem_from_dict(_read_document(args.problem, "problem"),

@@ -37,7 +37,9 @@ the contenders exactly and takes its 10^6-point cap in well under a second):
            until no improving feasible neighbour exists.
 
 Restarts are independent and deterministically seeded from (seed,
-restart index); the global best is reduced with a total tie-break
+restart index): random starts reproduce `numpy.random.default_rng([seed,
+restart]).uniform` bit for bit in pure Python, so designs do not depend on
+the installed numpy.  The global best is reduced with a total tie-break
 (higher objective, lower params, lexicographically smaller widths, then
 depths), so parallel and sequential runs return identical results.
 """
@@ -49,8 +51,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .blocks import (
     MOBILENET_V2_SE,
@@ -401,6 +401,7 @@ class _StageModel:
         chain under each depth vector, as float64 arrays of shape
         (len(chains), len(depth_vecs)).  Params and FLOPs are exact below
         2**53; entropy and rho sum in another order, so may differ by ulps."""
+        import numpy as np
         entries = [self.stages.get((i, c_prev, c)) or self._stage(i, c_prev, c)
                    for chain in chains
                    for i, (c_prev, c) in enumerate(zip((self.prob.stem.channels, *chain), chain))]
@@ -573,6 +574,7 @@ def brute_force(prob: ProblemSpec, conventions: Conventions = PINNED,
     one chunk's temporaries (22 MB at 8.8e5 points); the 1e6-point cap
     takes well under a second.
     """
+    import numpy as np
     prob.check()
     size = lattice_size(prob)
     if size > max_enumeration:
@@ -889,6 +891,50 @@ def _polish(start: tuple[Candidate, CandidateEval], prob: ProblemSpec,
 # top-level solve
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant steps by `mult` per call."""
+    def hashmix(v: int) -> int:
+        nonlocal const
+        v, const = v ^ const, const * mult & _M32
+        v = v * const & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _uniform_stream(seed: int, restart: int):
+    """The doubles in [0, 1) that `numpy.random.default_rng([seed, restart])`
+    draws, bit for bit: SeedSequence mixes the 32-bit words of both ints into
+    a pool of four, `generate_state(4, uint64)` seeds PCG64, and each step's
+    XSL-RR output gives `(x >> 11) * 2**-53`."""
+    words = [n >> s & _M32 for n in (seed, restart)
+             for s in range(0, max(n.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in itertools.product(range(4), repeat=2):
+        if src != dst:
+            pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    generate = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [generate(pool[i % 4]) for i in range(8)]
+    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    x = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128  # srandom
+    while True:
+        x = (x * _PCG_MULT + inc) & _M128
+        out, rot = (x >> 64 ^ x) & _M64, x >> 122
+        yield (((out >> rot | out << (64 - rot)) & _M64) >> 11) * 2.0 ** -53
+
+
 def _start_point(prob: ProblemSpec, restart: int, seed: int):
     """Deterministic restart start: two corner heuristics, one midpoint,
     then seeded uniform draws."""
@@ -902,10 +948,9 @@ def _start_point(prob: ProblemSpec, restart: int, seed: int):
     if restart == 2:
         return ([(a + b) / 2 for a, b in zip(lo_g, hi_g)],
                 [(a + b) / 2 for a, b in zip(lo_d, hi_d)])
-    rng = np.random.default_rng([seed, restart])
-    w = rng.uniform(lo_g, hi_g).tolist()
-    d = rng.uniform(lo_d, hi_d).tolist()
-    return w, d
+    u = _uniform_stream(seed, restart)  # widths first, then depths
+    return tuple([a + (b - a) * next(u) for a, b in zip(map(float, lo), map(float, hi))]
+                 for lo, hi in ((lo_g, hi_g), (lo_d, hi_d)))
 
 
 def _run_restart(prob: ProblemSpec, opts: SolveOptions,
@@ -950,6 +995,8 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
           conventions: Conventions = PINNED) -> SolveReport:
     """Best feasible candidate by the documented two-phase method."""
     opts = opts or SolveOptions()
+    if opts.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {opts.seed}")
     prob.check()
     t0 = time.perf_counter()
     caps = _restart_caps(opts.max_evals, opts.restarts)

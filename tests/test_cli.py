@@ -14,6 +14,7 @@ from entromax.conventions import PINNED
 from entromax.model import validate
 
 from conftest import tiny_problem
+from entromax.solver import brute_force
 
 
 def run_cli(argv, capsys):
@@ -265,24 +266,50 @@ print(" ".join(m for m in ("numpy", "concurrent.futures", "entromax.solver",
     assert out.stdout.strip() == ""
 
 
-def test_single_thread_solve_does_not_load_the_process_pool():
-    """`concurrent.futures.process` costs a solve process about 17 ms to
-    import; only a solve with more than one thread uses it."""
+def test_solve_loads_numpy_only_for_brute_force(tmp_path):
+    """A solve draws its restart starts in pure Python, so it loads no numpy
+    (about 0.1 s of start-up), and one thread loads no process pool either
+    (about 17 ms); `brute_force` still loads numpy on demand."""
+    prob_file = tmp_path / "tiny.json"
+    prob_file.write_text(dumps(problem_to_dict(tiny_problem(0))))
     script = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from entromax.cli import main
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    assert main(["solve", "--problem", "resnet18_scale", "--max-evals", "200",
-                 "--threads", "1"]) == 0
-print(" ".join(m for m in ("concurrent.futures.process", "multiprocessing")
-               if m in sys.modules))
+from entromax.fileio import problem_from_dict
+from entromax.solver import brute_force
+for threads, unloaded in (("1", ("numpy", "concurrent.futures.process", "multiprocessing")),
+                          ("2", ("numpy",))):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["solve", "--problem", "resnet18_scale", "--max-evals", "200",
+                     "--threads", threads]) == 0
+    print(" ".join(m for m in unloaded if m in sys.modules))
+cand, ev = brute_force(problem_from_dict(json.loads(open(sys.argv[1]).read())))
+print("numpy" in sys.modules, cand.widths, cand.depths, repr(ev.objective))
 """
     src = str(Path(entromax.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", script, str(prob_file)],
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    cand, ev = brute_force(tiny_problem(0))
+    assert out.stdout.split("\n") == [
+        "", "", f"True {cand.widths} {cand.depths} {ev.objective!r}", ""]
+
+
+@pytest.mark.parametrize("restarts", [["--restarts", "3"], []])
+def test_solve_negative_seed_fails_before_any_restart(restarts, tmp_path, capsys,
+                                                      monkeypatch):
+    from entromax import solver
+
+    ran = []
+    monkeypatch.setattr(solver, "_run_restart", lambda *args: ran.append(args))
+    arch, report = tmp_path / "arch.json", tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["solve", "--problem", "resnet18_scale", "--seed", "-1", *restarts,
+         "--out", str(arch), "--report", str(report)], capsys)
+    assert code == 1 and out == "" and ran == []
+    assert err.count("error:") == 1 and "seed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, validations", [

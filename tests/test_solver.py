@@ -36,7 +36,8 @@ from entromax.solver import (
     solve,
 )
 from entromax import solver as solver_module
-from entromax.solver import _better, _binding, _granular_bounds, _model, _neighbors, _StageModel
+from entromax.solver import (_better, _binding, _granular_bounds, _model, _neighbors, _StageModel,
+                             _start_point)
 
 
 def r18_problem(max_params=11_689_512, max_flops=1_819_040_768, rho0=0.3):
@@ -520,6 +521,31 @@ def test_round_and_repair_shrinks_to_budget():
 
 
 # --- solve ---------------------------------------------------------------------
+
+def _stages_problem(m: int) -> ProblemSpec:
+    """An m-stage problem whose stage 1 has equal width and depth bounds."""
+    return dataclasses.replace(
+        tiny_problem(0), stages=m, alphas=(1.0,) * m, downsample_schedule=(False,) * m,
+        width_bounds=tuple((8 * (i + 1), 8 * (i + 1) if i == 1 else 64 * (i + 2))
+                           for i in range(m)),
+        depth_bounds=tuple((1 + i % 2, 2 if i == 1 else 3 + 5 * i) for i in range(m)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 - 5,
+                                  (2**32 - 1) * 1000 + 7, (2**32 - 1) * 601 + 3])
+def test_random_starts_reproduce_numpy_draws(seed):
+    """`_start_point` draws in pure Python what `default_rng([seed, restart])`
+    draws, bit for bit, widths first and then depths from one stream."""
+    for m in range(2, 8):
+        prob = _stages_problem(m)
+        lo_g, hi_g = _granular_bounds(prob)
+        lo_d, hi_d = zip(*prob.depth_bounds)
+        assert any(a == b for a, b in zip(lo_g, hi_g)) and lo_d[1] == hi_d[1]
+        for restart in [*range(3, 16), 2**33]:
+            rng = np.random.default_rng([seed, restart])
+            want = rng.uniform(lo_g, hi_g).tolist(), rng.uniform(lo_d, hi_d).tolist()
+            assert _start_point(prob, restart, seed) == want
+
 
 def test_solve_is_deterministic():
     prob = tiny_problem(3)
