@@ -136,7 +136,14 @@ def cmd_solve(args) -> int:
     # an option left out keeps its default, which only SolveOptions states
     given = {name: getattr(args, name) for name in ("restarts", "max_evals")
              if getattr(args, name) is not None}
-    opts = SolveOptions(seed=args.seed, threads=args.threads, trace=args.trace,
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("ENTROMAX_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            _fail(f"ENTROMAX_THREADS must be an integer, got {env!r}")
+    opts = SolveOptions(seed=args.seed, threads=threads, trace=args.trace,
                         **given)
     report = solve(prob, opts, conv)
     _log(f"solved in {report.wall_time:.1f}s, {report.evaluations} evaluations"
@@ -291,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="problem file or shipped problem name")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("ENTROMAX_THREADS", "1")),
-                   help="parallel restart workers (env ENTROMAX_THREADS)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="parallel restart workers (default: env ENTROMAX_THREADS, "
+                        "else 1)")
     p.add_argument("--max-evals", type=int, default=None)
     p.add_argument("--trace", action="store_true",
                    help="include per-restart details in the report")
@@ -321,7 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-width", type=int, default=1)
     p.add_argument("--quenched", action="store_true",
                    help="fixed weight draw across samples (report-only)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int,
+                   default=(len(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1),
+                   help="sampling threads (default: every available core); "
+                        "the output is the same for any count")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_variance)
 

@@ -997,6 +997,9 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
     opts = opts or SolveOptions()
     if opts.seed < 0:
         raise ValueError(f"seed must be non-negative, got {opts.seed}")
+    for name in ("restarts", "max_evals", "threads"):
+        if getattr(opts, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(opts, name)}")
     prob.check()
     t0 = time.perf_counter()
     caps = _restart_caps(opts.max_evals, opts.restarts)

@@ -9,7 +9,10 @@ derived from the estimator's own standard error.
 
 Chunked, per-chunk seeded sampling: chunk RNGs are spawned from the root
 seed and results are reduced in chunk order, so a parallel run returns
-bit-identical statistics to a sequential one.
+bit-identical statistics to a sequential one.  Within a chunk, each
+layer's weights are drawn from the chunk's stream one block of about
+1 MiB at a time, in sample order, so a chunk's memory stays bounded at
+any width and every sample sees the weights one whole-layer draw gives.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+# bytes of weights drawn at once: bounds a chunk's memory at any width
+_BLOCK_BYTES = 1 << 20
 # beyond this, float accumulation in the empirical estimator degrades
 _MAX_SIMULATED_VARIANCE = 1e12
 
@@ -57,6 +62,8 @@ class SimulationConfig:
                              "pass/fail bands to mean anything")
         if self.out_width < 1:
             raise ValueError("out_width must be positive")
+        if self.threads < 1:
+            raise ValueError("threads must be positive")
 
 
 def theoretical_variance(widths) -> float:
@@ -112,12 +119,21 @@ def _chunk_sums(cfg: SimulationConfig, rng: np.random.Generator, n: int,
     """(sum x, sum x^2, sum x^4) of the first output coordinate over n samples."""
     dims = list(cfg.widths) + [cfg.out_width]
     x = rng.standard_normal((n, dims[0]))
-    for i in range(len(dims) - 1):
+    for i, (w_in, w_out) in enumerate(zip(dims, dims[1:])):
         if fixed is not None:
             x = x @ fixed[i].T
-        else:
-            m = rng.standard_normal((n, dims[i + 1], dims[i]))
-            x = np.einsum("sij,sj->si", m, x)
+            continue
+        b = min(n, max(1, _BLOCK_BYTES // (8 * w_out * w_in)))
+        block, part = np.empty((b, w_out, w_in)), np.empty((b, w_out))
+        # a narrower output overwrites only input rows already read
+        y = (x.reshape(-1)[:n * w_out].reshape(n, w_out) if w_out <= w_in
+             else np.empty((n, w_out)))
+        for s in range(0, n, b):
+            k = min(b, n - s)
+            rng.standard_normal(out=block[:k])  # the stream of one (n, ...) draw
+            np.einsum("sij,sj->si", block[:k], x[s:s + k], out=part[:k])
+            y[s:s + k] = part[:k]
+        x = y
     first = x[:, 0]
     return (float(np.sum(first)), float(np.sum(first ** 2)),
             float(np.sum(first ** 4)))

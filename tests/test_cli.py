@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import entromax
-from entromax.cli import main
+from entromax.cli import build_parser, main
 from entromax.fileio import dumps, network_to_dict, problem_to_dict
 from entromax.catalog import reference
 from entromax.conventions import PINNED
@@ -192,6 +192,23 @@ def test_verify_variance_text_mode(capsys):
     assert "theoretical" in out
 
 
+def test_verify_variance_default_threads_use_every_core(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    argv = ["verify-variance", "--widths", "16,32", "--samples", "20000",
+            "--seed", "7", "--json"]
+    assert build_parser().parse_args(argv).threads == 4
+    assert run_cli(argv, capsys)[:2] == run_cli(argv + ["--threads", "1"], capsys)[:2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_verify_variance_rejects_threads_below_one(threads, capsys):
+    code, out, err = run_cli(["verify-variance", "--widths", "8,8", "--threads",
+                              threads], capsys)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "threads" in err
+
+
 def test_catalog_listing_and_show(capsys):
     code, out, _ = run_cli(["catalog"], capsys)
     assert code == 0
@@ -310,6 +327,32 @@ def test_solve_negative_seed_fails_before_any_restart(restarts, tmp_path, capsys
     assert code == 1 and out == "" and ran == []
     assert err.count("error:") == 1 and "seed" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option", [["--restarts", "0"], ["--restarts", "-2"],
+                                    ["--max-evals", "-5"], ["--threads", "0"]])
+def test_solve_rejects_counts_below_one(option, tmp_path, capsys):
+    arch, report = tmp_path / "arch.json", tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["solve", "--problem", "resnet18_scale", *option,
+         "--out", str(arch), "--report", str(report)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and option[0][2:].replace("-", "_") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_thread_variable_fails_only_solve(monkeypatch, capsys):
+    monkeypatch.setenv("ENTROMAX_THREADS", "two")
+    code, out, _ = run_cli(["analyze", "resnet18"], capsys)
+    assert code == 0 and json.loads(out)["format"] == "entromax-metrics"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--problem", "resnet18_scale"], capsys)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "ENTROMAX_THREADS" in err
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert "ENTROMAX_THREADS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, validations", [

@@ -612,6 +612,15 @@ def test_max_evals_one_returns_flagged():
     assert rep.budget_exhausted
 
 
+@pytest.mark.parametrize("option", [{"restarts": 0}, {"restarts": -2},
+                                    {"max_evals": 0}, {"max_evals": -5},
+                                    {"threads": 0}])
+def test_counts_below_one_are_rejected(option):
+    name = next(iter(option))
+    with pytest.raises(ValueError, match=name):
+        solve(tiny_problem(5), SolveOptions(seed=0, **option))
+
+
 def test_q_pressure_keeps_depths_nearly_uniform():
     # slack budgets and beta 10: the returned depth spread stays tight
     prob = dataclasses.replace(tiny_problem(7), max_params=10**12,

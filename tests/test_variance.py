@@ -1,12 +1,18 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entromax import variance
 from entromax.variance import (
     MeanReport,
     SimulationConfig,
+    check_variance_law,
     log_theoretical_variance,
     mean_check,
     simulate_mlp_variance,
@@ -73,6 +79,66 @@ def test_parallel_equals_sequential():
     seq = simulate_mlp_variance(cfg)
     par = simulate_mlp_variance(dataclasses.replace(cfg, threads=4))
     assert par == seq
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_thread_count_does_not_change_the_reports(threads):
+    cfg = SimulationConfig(widths=(16, 32), n_samples=30_000, seed=5)
+    assert (check_variance_law(dataclasses.replace(cfg, threads=threads))
+            == check_variance_law(cfg))
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_is_rejected(threads):
+    with pytest.raises(ValueError, match="threads"):
+        SimulationConfig(widths=(8, 8), n_samples=1000, threads=threads)
+
+
+def _one_shot_chunk_sums(cfg, rng, n, fixed):
+    """`_chunk_sums` with each layer's whole (n, w_out, w_in) weight tensor
+    drawn at once: the reference the streamed draws must equal bit for bit."""
+    dims = list(cfg.widths) + [cfg.out_width]
+    x = rng.standard_normal((n, dims[0]))
+    for i in range(len(dims) - 1):
+        if fixed is not None:
+            x = x @ fixed[i].T
+        else:
+            m = rng.standard_normal((n, dims[i + 1], dims[i]))
+            x = np.einsum("sij,sj->si", m, x)
+    first = x[:, 0]
+    return (float(np.sum(first)), float(np.sum(first ** 2)),
+            float(np.sum(first ** 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+       out_width=st.integers(1, 3),
+       block_bytes=st.sampled_from([8, 4096, variance._BLOCK_BYTES]),
+       layer=st.integers(0, 3), blocks=st.integers(1, 3), edge=st.integers(-1, 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_chunk_sums_equal_one_shot_draws(widths, out_width, block_bytes,
+                                                   layer, blocks, edge, seed):
+    # n sits on a block edge of one layer, so partial last blocks are covered
+    dims = widths + [out_width]
+    i = layer % len(widths)
+    block = max(1, block_bytes // (8 * dims[i] * dims[i + 1]))
+    n = min(variance._CHUNK, max(1, blocks * block + edge))
+    cfg = SimulationConfig(widths=tuple(widths), n_samples=1000, out_width=out_width)
+    with mock.patch.object(variance, "_BLOCK_BYTES", block_bytes):
+        streamed = variance._chunk_sums(cfg, np.random.default_rng(seed), n, None)
+    assert streamed == _one_shot_chunk_sums(cfg, np.random.default_rng(seed), n, None)
+
+
+def test_chunk_memory_is_bounded_at_wide_layers():
+    # drawing a layer's weights whole took a 256 MiB tensor here, 264 MiB peak
+    cfg = SimulationConfig(widths=(64, 64), n_samples=variance._CHUNK)
+    tracemalloc.start()
+    try:
+        variance._chunk_sums(cfg, np.random.default_rng(0), variance._CHUNK, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_different_seeds_differ():
