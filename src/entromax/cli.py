@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_solve(args) -> int:
     # the solver loads here, so the other commands start without it; a solve
-    # loads no numpy, and the process pool only with more than one thread
+    # loads no numpy, and with more than one thread it forks its workers
     from .solver import SolveOptions, realize, solve
 
     prob = problem_from_dict(_read_document(args.problem, "problem"),
@@ -162,7 +162,9 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(dumps(doc))
     if not report.feasible:
-        _log(f"infeasible: tightest violated constraint is {report.infeasibility}")
+        _log(f"infeasible: tightest violated constraint is {report.infeasibility}"
+             if report.infeasibility else f"no feasible point found within "
+             f"{report.evaluations} evaluations (budget exhausted)")
         return 1
     return 0
 
@@ -249,7 +251,7 @@ def cmd_catalog(args) -> int:
     try:
         entry = catalog.reference(args.name)
     except KeyError as exc:
-        _fail(str(exc), 2)
+        _fail(exc.args[0], 2)
     if args.analyze:
         conv = _conventions(args)
         report = metric_report(entry.spec, None, conv, check=False)  # validated on load
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
-                   help="parallel restart workers (default: env ENTROMAX_THREADS, "
-                        "else 1)")
+                   help="processes that run restarts, this one included "
+                        "(default: env ENTROMAX_THREADS, else 1)")
     p.add_argument("--max-evals", type=int, default=None)
     p.add_argument("--trace", action="store_true",
                    help="include per-restart details in the report")

@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -991,32 +992,108 @@ def _restart_caps(max_evals: int, restarts: int) -> list[int]:
     return [base + (1 if r < extra else 0) for r in range(restarts)]
 
 
+def _forked(run, n: int, workers: int) -> list:
+    """[run(i) for i in range(n)], computed by this process and workers - 1
+    forked children.
+
+    Every process claims indices first come, first served from a token
+    pipe that holds one 8-byte record, the next index: reading it takes the
+    lock, writing index + 1 back releases it.  A child pickles {i: run(i)}
+    of its claims, or the exception it raised, into its own pipe and leaves
+    by `os._exit`, so no atexit handler runs and no inherited stdout buffer
+    is flushed.  Every child is reaped before this returns or raises; if
+    this process raises, its children are killed first.
+    """
+    import pickle  # loaded only by a parallel solve
+
+    token_r, token_w = os.pipe()
+    os.write(token_w, bytes(8))
+
+    def claims() -> dict:
+        done = {}
+        while True:
+            i = int.from_bytes(os.read(token_r, 8), "little")
+            os.write(token_w, (i + 1).to_bytes(8, "little"))
+            if i >= n:
+                return done
+            done[i] = run(i)
+
+    children = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    try:
+                        payload, status = pickle.dumps(claims()), 0
+                    except BaseException as exc:
+                        try:  # the caller must be able to load what it gets
+                            payload = pickle.dumps(exc)
+                            pickle.loads(payload)
+                        except Exception:
+                            payload = pickle.dumps(RuntimeError(repr(exc)))
+                    with open(result_w, "wb") as out:
+                        out.write(payload)
+                finally:
+                    os._exit(status)
+            os.close(result_w)
+            children[pid] = result_r
+        results = claims()
+        errors = []
+        for pid, result_r in list(children.items()):
+            with open(result_r, "rb") as f:
+                payload = f.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            got = pickle.loads(payload) if payload else RuntimeError(
+                f"solve worker {pid} ended with wait status {status} and sent nothing")
+            if isinstance(got, BaseException):
+                errors.append(got)
+            else:
+                results.update(got)
+        if errors:
+            raise errors[0]
+        return [results[i] for i in range(n)]
+    finally:
+        for pid, result_r in children.items():
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            os.close(result_r)
+        os.close(token_r)
+        os.close(token_w)
+
+
 def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
           conventions: Conventions = PINNED) -> SolveReport:
-    """Best feasible candidate by the documented two-phase method."""
+    """Best feasible candidate by the documented two-phase method.
+
+    With `threads` above 1 the restarts run in this process and in
+    min(threads, restarts) - 1 forked children (`_forked`), which needs
+    `os.fork`; the outcomes are merged by restart index, so the report is
+    that of a sequential solve.
+    """
     opts = opts or SolveOptions()
     if opts.seed < 0:
         raise ValueError(f"seed must be non-negative, got {opts.seed}")
     for name in ("restarts", "max_evals", "threads"):
         if getattr(opts, name) < 1:
             raise ValueError(f"{name} must be at least 1, got {getattr(opts, name)}")
+    if opts.threads > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"threads {opts.threads} needs os.fork, which this platform lacks")
     prob.check()
     t0 = time.perf_counter()
     caps = _restart_caps(opts.max_evals, opts.restarts)
 
-    if opts.threads > 1:
-        # imported here: a single-thread solve need not load the pool
-        from concurrent.futures import ProcessPoolExecutor
+    def run(r):
+        return _run_restart(prob, opts, conventions, r, caps[r])
 
-        with ProcessPoolExecutor(max_workers=opts.threads) as pool:
-            outcomes = list(pool.map(
-                _run_restart,
-                itertools.repeat(prob), itertools.repeat(opts),
-                itertools.repeat(conventions),
-                range(opts.restarts), caps))
+    workers = min(opts.threads, opts.restarts)
+    if workers > 1:
+        outcomes = _forked(run, opts.restarts, workers)
     else:
-        outcomes = [_run_restart(prob, opts, conventions, r, caps[r])
-                    for r in range(opts.restarts)]
+        outcomes = [run(r) for r in range(opts.restarts)]
 
     best: tuple[Candidate, CandidateEval] | None = None
     evaluations = 0
@@ -1042,7 +1119,11 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
             exhausted = True
         else:
             cand = None
-            infeasibility, _ = _binding(ev, prob)
+            # params and FLOPs rise with every width and depth, so only their
+            # excess at the cheapest point proves a starved search infeasible;
+            # an excess on rho alone may vanish at another point
+            if not exhausted or "params" in ev.violations or "flops" in ev.violations:
+                infeasibility, _ = _binding(ev, prob)
     return SolveReport(
         best=cand, objective=ev.objective if cand is not None else -math.inf,
         feasible=cand is not None, slacks=dict(ev.slacks), restarts_used=opts.restarts,

@@ -9,7 +9,7 @@ import pytest
 import entromax
 from entromax.cli import build_parser, main
 from entromax.fileio import dumps, network_to_dict, problem_to_dict
-from entromax.catalog import reference
+from entromax.catalog import names, reference
 from entromax.conventions import PINNED
 from entromax.model import validate
 
@@ -128,6 +128,45 @@ def test_solve_infeasible_budget_exits_one(tmp_path, capsys):
     assert doc["infeasibility"] == "params"
 
 
+def test_starved_solve_names_no_constraint_it_cannot_prove(tmp_path, capsys):
+    # rho alone binds at the cheapest point, which proves nothing: 100
+    # evaluations find a feasible design
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(["solve", "--problem", "mobilenet_scale", "--max-evals", "1",
+                            "--report", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    assert code == 1 and doc["feasible"] is False and doc["budget_exhausted"] is True
+    assert doc["infeasibility"] is None
+    assert err.splitlines()[-1] == (
+        "no feasible point found within 1 evaluations (budget exhausted)")
+    code, _, _ = run_cli(["solve", "--problem", "mobilenet_scale", "--max-evals", "100",
+                          "--report", str(report)], capsys)
+    assert code == 0 and json.loads(report.read_text())["feasible"] is True
+
+
+def test_starved_solve_names_a_params_excess_at_the_cheapest_point(tmp_path, capsys):
+    import dataclasses
+
+    prob_file = tmp_path / "impossible.json"
+    prob_file.write_text(dumps(problem_to_dict(
+        dataclasses.replace(tiny_problem(0), max_params=10))))
+    code, out, err = run_cli(["solve", "--problem", str(prob_file), "--restarts", "4",
+                              "--max-evals", "4"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["budget_exhausted"] is True
+    assert doc["infeasibility"] == "params"
+    assert err.splitlines()[-1] == "infeasible: tightest violated constraint is params"
+
+
+def test_solve_threads_without_fork_is_one_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.delattr(os, "fork")
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["solve", "--problem", "resnet18_scale", "--threads", "2",
+                              "--report", str(report)], capsys)
+    assert code == 1 and out == "" and not report.exists()
+    assert err.count("error:") == 1 and "os.fork" in err
+
+
 def test_solve_max_evals_one_flags_exhaustion(tmp_path, capsys):
     prob_file = tmp_path / "tiny.json"
     prob_file.write_text(dumps(problem_to_dict(tiny_problem(2))))
@@ -219,6 +258,16 @@ def test_catalog_listing_and_show(capsys):
     assert doc == network_to_dict(reference("resnet34").spec)
 
 
+def test_catalog_unknown_name_is_one_plain_error_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["catalog", "nosuch"], capsys)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: unknown catalog entry 'nosuch'; "
+                            f"known: {', '.join(names())}\n")
+
+
 def test_catalog_analyze(capsys):
     code, out, _ = run_cli(["catalog", "efficientnet_b0", "--analyze"], capsys)
     assert code == 0
@@ -285,8 +334,9 @@ print(" ".join(m for m in ("numpy", "concurrent.futures", "entromax.solver",
 
 def test_solve_loads_numpy_only_for_brute_force(tmp_path):
     """A solve draws its restart starts in pure Python, so it loads no numpy
-    (about 0.1 s of start-up), and one thread loads no process pool either
-    (about 17 ms); `brute_force` still loads numpy on demand."""
+    (about 0.1 s of start-up), and forks its workers, so it loads no process
+    pool (about 27 ms) at any thread count; `brute_force` still loads numpy
+    on demand."""
     prob_file = tmp_path / "tiny.json"
     prob_file.write_text(dumps(problem_to_dict(tiny_problem(0))))
     script = """
@@ -294,12 +344,12 @@ import contextlib, io, json, sys
 from entromax.cli import main
 from entromax.fileio import problem_from_dict
 from entromax.solver import brute_force
-for threads, unloaded in (("1", ("numpy", "concurrent.futures.process", "multiprocessing")),
-                          ("2", ("numpy",))):
+for threads in ("1", "2"):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["solve", "--problem", "resnet18_scale", "--max-evals", "200",
                      "--threads", threads]) == 0
-    print(" ".join(m for m in unloaded if m in sys.modules))
+    print(" ".join(m for m in ("numpy", "concurrent.futures.process", "multiprocessing")
+                   if m in sys.modules))
 cand, ev = brute_force(problem_from_dict(json.loads(open(sys.argv[1]).read())))
 print("numpy" in sys.modules, cand.widths, cand.depths, repr(ev.objective))
 """

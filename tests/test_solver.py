@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -555,12 +558,128 @@ def test_solve_is_deterministic():
     assert a.evaluations == b.evaluations
 
 
-def test_parallel_restarts_match_sequential():
-    prob = tiny_problem(4)
-    seq = solve(prob, SolveOptions(seed=5, threads=1))
-    par = solve(prob, SolveOptions(seed=5, threads=3))
+@pytest.mark.parametrize("threads", [2, 3, 4])
+@pytest.mark.parametrize("problem, options", [
+    ("tiny", {}),
+    ("tiny", {"restarts": 2}),
+    ("tiny", {"max_evals": 40}),  # binds: restarts stop early
+    ("tiny", {"trace": True}),
+    ("mobilenet_scale", {"max_evals": 600, "trace": True}),
+], ids=["tiny", "tiny-restarts-2", "tiny-binding-cap", "tiny-trace", "mobilenet-600"])
+def test_parallel_restarts_match_sequential(threads, problem, options):
+    prob = tiny_problem(4) if problem == "tiny" else _shipped(problem)
+    seq = solve(prob, SolveOptions(seed=5, threads=1, **options))
+    par = solve(prob, SolveOptions(seed=5, threads=threads, **options))
     assert par.best == seq.best and par.objective == seq.objective
     assert par.evaluations == seq.evaluations
+    assert par.budget_exhausted == seq.budget_exhausted == ("max_evals" in options)
+    assert par.trace == seq.trace and bool(par.trace) == options.get("trace", False)
+    assert par.slacks == seq.slacks and par.infeasibility == seq.infeasibility
+
+
+def test_every_restart_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path):
+    # a lost update of the claim token would run one restart twice
+    log, run = tmp_path / "claims", solver_module._run_restart
+
+    def logged(prob, opts, conventions, restart, cap):
+        with open(log, "a") as f:  # appends of one short line do not interleave
+            f.write(f"{restart}\n")
+        return run(prob, opts, conventions, restart, cap)
+
+    monkeypatch.setattr(solver_module, "_run_restart", logged)
+    signal.alarm(60)
+    try:
+        workers = min((os.cpu_count() or 1) + 1, 8)
+        rep = solve(tiny_problem(4), SolveOptions(threads=workers, restarts=48))
+    finally:
+        signal.alarm(0)
+    assert sorted(map(int, log.read_text().split())) == list(range(48))
+    assert rep.evaluations == solve(tiny_problem(4), SolveOptions(restarts=48)).evaluations
+    _assert_no_child_left()
+
+
+def _failing_restart(monkeypatch, fails):
+    """Make `_run_restart` raise what `fails(restart)` returns, if anything;
+    restarts the caller runs sleep first, so the child claims one."""
+    caller, run = os.getpid(), solver_module._run_restart
+
+    def patched(prob, opts, conventions, restart, cap):
+        if os.getpid() == caller:
+            time.sleep(0.2)
+        exc = fails(restart)
+        if exc is not None:
+            raise exc
+        return run(prob, opts, conventions, restart, cap)
+
+    monkeypatch.setattr(solver_module, "_run_restart", patched)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_restart_error_is_raised_after_every_child_is_reaped(monkeypatch):
+    _failing_restart(monkeypatch, lambda r: KeyError(f"restart {r}") if r == 1 else None)
+    with pytest.raises(KeyError, match="restart 1"):
+        solve(tiny_problem(4), SolveOptions(threads=2, restarts=4))
+    _assert_no_child_left()
+
+
+class _TwoArgs(Exception):
+    def __init__(self, a, b):  # pickles, but does not unpickle: args is (a,)
+        super().__init__(a)
+
+
+def _local_error(r):
+    class Local(Exception):  # a local class does not pickle
+        pass
+    return Local(r)
+
+
+@pytest.mark.parametrize("error, name", [(_local_error, "Local"),
+                                         (lambda r: _TwoArgs(r, r), "_TwoArgs")],
+                         ids=["local-class", "init-signature"])
+def test_child_error_that_does_not_round_trip_arrives_as_its_repr(monkeypatch, error, name):
+    caller = os.getpid()
+    _failing_restart(monkeypatch, lambda r: None if os.getpid() == caller else error(r))
+    with pytest.raises(RuntimeError, match=name + r"\("):
+        solve(tiny_problem(4), SolveOptions(threads=2, restarts=2))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("in the caller"), KeyboardInterrupt()])
+def test_caller_error_kills_and_reaps_every_child(monkeypatch, exc):
+    caller = os.getpid()
+    _failing_restart(monkeypatch, lambda r: exc if os.getpid() == caller else None)
+    with pytest.raises(type(exc)):
+        solve(tiny_problem(4), SolveOptions(threads=3, restarts=12))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads, restarts, children", [(4, 2, 1), (2, 1, 0), (3, 12, 2)])
+def test_parallel_solve_forks_one_child_per_extra_worker(monkeypatch, threads, restarts,
+                                                         children):
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    rep = solve(tiny_problem(4), SolveOptions(threads=threads, restarts=restarts))
+    assert len(forked) == children
+    assert rep == dataclasses.replace(solve(tiny_problem(4), SolveOptions(restarts=restarts)),
+                                      wall_time=rep.wall_time)
+    _assert_no_child_left()
+
+
+def test_threads_without_fork_are_rejected(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        solve(tiny_problem(4), SolveOptions(threads=2))
+    assert solve(tiny_problem(4), SolveOptions(threads=1)).feasible
 
 
 def test_solve_best_passes_independent_feasibility_recheck():
