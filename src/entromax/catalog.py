@@ -133,8 +133,7 @@ class CalibrationReport:
         lines.append("")
         lines.append("## Flags pinned by the data")
         lines.append("")
-        for flag in ("entropy_include_stem", "entropy_include_shortcut",
-                     "stagewise_entropy", "params_include_bn", "flops_bn_cost"):
+        for flag in ("params_include_bn", "flops_bn_cost"):
             values = sorted({getattr(c, flag) for c in self.passing})
             state = f"forced to {values[0]}" if len(values) == 1 else f"free over {values}"
             lines.append(f"- `{flag}`: {state}")
@@ -146,7 +145,7 @@ def _evaluate(entry: CatalogEntry, layers: tuple[LayerDescriptor, ...],
               conventions: Conventions) -> EntryResult:
     params = count_params(entry.spec, conventions, layers=layers)
     flops = count_flops(entry.spec, conventions, layers=layers)
-    rho = effectiveness(entry.spec, conventions, layers=layers)
+    rho = effectiveness(entry.spec, layers=layers)
     exp = entry.expected
     return EntryResult(
         name=entry.name,
@@ -158,12 +157,8 @@ def _evaluate(entry: CatalogEntry, layers: tuple[LayerDescriptor, ...],
 
 
 def calibrate(pinned: Conventions = PINNED) -> CalibrationReport:
-    """Sweep every convention combination over the full catalog.
-
-    Note the stagewise-entropy flag does not touch rho, params or flops,
-    so combinations differing only there tie; the report's flag summary
-    shows which flags the data actually forces.
-    """
+    """Sweep every convention combination over the full catalog; the
+    report's flag summary shows which flags the data actually forces."""
     # `reference` validated each spec on load
     entries = [(e, expand(e.spec, check=False)) for e in map(reference, names())]
     results: dict[Conventions, list[EntryResult]] = {}

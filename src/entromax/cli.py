@@ -9,12 +9,14 @@ validation or parse error, failed verification), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__, catalog
-from .conventions import PINNED, Conventions, with_flags
+from .conventions import PINNED, Conventions
 from .fileio import (
     ParseError,
     dumps,
@@ -70,19 +72,12 @@ def _load_network(path_or_name: str, allow_unknown: bool) -> NetworkSpec:
 
 
 def _conventions(args) -> Conventions:
-    conv = PINNED
     overrides = {}
-    if getattr(args, "stagewise_entropy", False):
-        overrides["stagewise_entropy"] = True
-    if getattr(args, "shortcut_entropy", False):
-        overrides["entropy_include_shortcut"] = True
-    if getattr(args, "no_stem_entropy", False):
-        overrides["entropy_include_stem"] = False
-    if getattr(args, "no_bn_params", False):
+    if args.no_bn_params:
         overrides["params_include_bn"] = False
-    if getattr(args, "bn_flops_cost", None) is not None:
+    if args.bn_flops_cost is not None:
         overrides["flops_bn_cost"] = args.bn_flops_cost
-    return with_flags(conv, **overrides) if overrides else conv
+    return dataclasses.replace(PINNED, **overrides) if overrides else PINNED
 
 
 def _alphas(args, stages: int) -> list[float] | None:
@@ -93,18 +88,14 @@ def _alphas(args, stages: int) -> list[float] | None:
         alphas = [float(a) for a in args.alphas.split(",")]
     except ValueError:
         _fail(f"cannot parse --alphas {args.alphas!r}", 2)
+    if not all(map(math.isfinite, alphas)):
+        _fail(f"--alphas must be finite, got {args.alphas!r}", 2)
     if len(alphas) != stages:
         _fail(f"--alphas has {len(alphas)} entries but the network has {stages} stages")
     return alphas
 
 
 def _add_convention_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--stagewise-entropy", action="store_true",
-                   help="per-stage entropy uses only that stage's layers")
-    p.add_argument("--shortcut-entropy", action="store_true", dest="shortcut_entropy",
-                   help="include projection shortcuts in the entropy path")
-    p.add_argument("--no-stem-entropy", action="store_true",
-                   help="exclude the stem conv from the entropy path")
     p.add_argument("--no-bn-params", action="store_true",
                    help="exclude batch-norm affine pairs from the parameter count")
     p.add_argument("--bn-flops-cost", type=int, choices=(0, 1, 2), default=None,

@@ -1,29 +1,29 @@
 """Counting-convention flags and the pinned calibrated defaults.
 
-Several published quantities depend on bookkeeping choices the formulas
-alone do not fix: which convs belong to the signal path whose widths
-enter entropy and effectiveness, whether batch-norm affine parameters
-count, and how batch-norm figures in the FLOPs tally.  The pinned values
-below are the unique-enough combination that reproduces the reference
-table for all five catalog networks (see catalog.calibrate, and
-docs/calibration.md for the sweep output); do not edit them casually.
+Several published cost figures depend on bookkeeping choices the formulas
+alone do not fix: whether batch-norm affine parameters count, and how
+batch-norm figures in the FLOPs tally.  The pinned values below are the
+combination that reproduces the reference table for all five catalog
+networks (see catalog.calibrate, and docs/calibration.md for the sweep
+output); do not edit them casually.
+
+The entropy path is no convention: the variance law fixes it.  A stage's
+output variance is the product of the projected widths over the stem and
+every main-path conv up to it, since series convs multiply; a projection
+shortcut adds its c_in in parallel rather than multiplying, so it stays
+off the path.  tests/test_variance.py checks each of these by Monte Carlo.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import product
 
 
 @dataclass(frozen=True)
 class Conventions:
-    # signal-path membership for entropy / effectiveness
-    entropy_include_stem: bool = True
-    entropy_include_shortcut: bool = False
-    # per-stage entropy: cumulative prefix sum (False) or stage-local (True)
-    stagewise_entropy: bool = False
     # batch-norm affine pairs in the parameter count
     params_include_bn: bool = True
     # ops charged per batch-norm output element in the FLOPs tally
@@ -40,18 +40,5 @@ PINNED = Conventions()
 
 def all_conventions() -> list[Conventions]:
     """Every flag combination the calibration sweep evaluates."""
-    combos = []
-    for stem, shortcut, stagewise, bn_params, bn_cost in product(
-            (False, True), (False, True), (False, True), (False, True), (0, 1, 2)):
-        combos.append(Conventions(
-            entropy_include_stem=stem,
-            entropy_include_shortcut=shortcut,
-            stagewise_entropy=stagewise,
-            params_include_bn=bn_params,
-            flops_bn_cost=bn_cost,
-        ))
-    return combos
-
-
-def with_flags(base: Conventions, **flags) -> Conventions:
-    return replace(base, **flags)
+    return [Conventions(params_include_bn=bn_params, flops_bn_cost=bn_cost)
+            for bn_params, bn_cost in product((False, True), (0, 1, 2))]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import types
 import typing
 from pathlib import Path
@@ -110,10 +111,6 @@ def block_to_dict(block: BlockKind) -> dict:
         out["expansion"] = block.expansion
         out["se_reduction"] = block.se_reduction
     return out
-
-
-def block_from_dict(obj: dict, where: str, allow_unknown: bool = False) -> BlockKind:
-    return _from_dict(BlockKind, obj, where, allow_unknown)
 
 
 def _stem_to_dict(stem: StemSpec) -> dict:
@@ -228,14 +225,28 @@ def solve_report_to_dict(report, conventions: Conventions | None = None) -> dict
 
 
 def dumps(obj: dict) -> str:
-    """Canonical serialization: explicit key order, two-space indent."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical serialization: explicit key order, two-space indent.
+    A NaN or infinite value raises ValueError: JSON has no such numbers."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def load_json(path: str | Path) -> dict:
+    """The parsed document.  NaN and Infinity, which Python's json module
+    accepts and JSON does not, raise ParseError, as does a number too
+    large for a float, which would read as infinite."""
     text = Path(path).read_text()
+
+    def non_finite(name: str):
+        raise ParseError(f"{path}: {name} is not a finite number")
+
+    def finite(literal: str) -> float:
+        value = float(literal)
+        if not math.isfinite(value):
+            non_finite(literal)
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 

@@ -9,11 +9,12 @@ clamped, since a sub-unit width would contribute negative entropy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .blocks import ROLE_MAIN, ROLE_SHORTCUT, ROLE_STEM
+from .blocks import ROLE_MAIN, ROLE_STEM
 from .conventions import PINNED, Conventions
 from .model import LayerDescriptor, NetworkSpec, expand, stage_resolutions
 
@@ -89,32 +90,27 @@ def average_width(widths: Sequence[float]) -> float:
     return math.exp(math.fsum(math.log(w) for w in widths) / len(widths))
 
 
-def path_roles(conventions: Conventions = PINNED) -> frozenset[str]:
+def path_roles() -> frozenset[str]:
     """The roles of the convs whose widths enter entropy and effectiveness.
 
-    Block main-path convs always; the stem and shortcut convs per the
-    convention flags; squeeze-excite, head and classifier convs never
-    (they gate or post-process rather than carry the signal).
+    The stem and block main-path convs, which carry the signal in series,
+    so their variance factors multiply.  A projection shortcut adds its
+    variance in parallel, and squeeze-excite, head and classifier convs
+    gate or post-process the signal, so none of them is on the path.
     """
-    keep = {ROLE_MAIN}
-    if conventions.entropy_include_stem:
-        keep.add(ROLE_STEM)
-    if conventions.entropy_include_shortcut:
-        keep.add(ROLE_SHORTCUT)
-    return frozenset(keep)
+    return frozenset((ROLE_STEM, ROLE_MAIN))
 
 
-def entropy_path(layers: Iterable[LayerDescriptor],
-                 conventions: Conventions = PINNED) -> list[LayerDescriptor]:
+def entropy_path(layers: Iterable[LayerDescriptor]) -> list[LayerDescriptor]:
     """The layers whose roles are on the signal path (`path_roles`)."""
-    keep = path_roles(conventions)
+    keep = path_roles()
     return [l for l in layers if l.role in keep]
 
 
-def effectiveness(net: NetworkSpec, conventions: Conventions = PINNED,
+def effectiveness(net: NetworkSpec,
                   layers: Sequence[LayerDescriptor] | None = None) -> float:
     """Depth over geometric-mean projected width of the signal path."""
-    path = entropy_path(expand(net) if layers is None else layers, conventions)
+    path = entropy_path(expand(net) if layers is None else layers)
     if not path:
         raise ValueError("entropy path is empty")
     return len(path) / average_width([projected_width(l) for l in path])
@@ -130,21 +126,20 @@ def depth_uniformity_penalty(depths: Sequence[int]) -> float:
 
 
 def weighted_entropy(net: NetworkSpec, alphas: Sequence[float],
-                     conventions: Conventions = PINNED,
                      layers: Sequence[LayerDescriptor] | None = None,
                      ) -> tuple[float, list[float]]:
     """Per-stage entropies H_i and their weighted sum.
 
     H_i scales log(r_i^2 c_i) at stage i's output by the sum of log
-    projected widths over the signal path up to and including stage i
-    (or over stage i alone under the stage-local flag).  The stem conv,
-    when included, counts toward stage 0.
+    projected widths over the signal path up to and including stage i:
+    the log of stage i's output variance, a product over the whole prefix.
+    The stem conv counts toward stage 0.
     """
     if len(alphas) != len(net.stages):
         raise ValueError(f"alpha count {len(alphas)} != stage count {len(net.stages)}")
     if any(a < 0 for a in alphas):
         raise ValueError("alphas must be nonnegative")
-    path = entropy_path(expand(net) if layers is None else layers, conventions)
+    path = entropy_path(expand(net) if layers is None else layers)
     resolutions = stage_resolutions(net)
 
     sums = [0.0] * len(net.stages)
@@ -154,11 +149,7 @@ def weighted_entropy(net: NetworkSpec, alphas: Sequence[float],
         if w < 1:
             raise ValueError(f"projected width below 1 is outside the entropy domain: {w}")
         sums[stage] += math.log(w)
-    if not conventions.stagewise_entropy:
-        acc = 0.0
-        for i, s in enumerate(sums):
-            acc += s
-            sums[i] = acc
+    sums = list(itertools.accumulate(sums))
 
     per_stage = [
         math.log(resolutions[i] ** 2 * st.width) * sums[i]
@@ -230,8 +221,8 @@ def metric_report(net: NetworkSpec, alphas: Sequence[float] | None = None,
     if alphas is None:
         m = len(net.stages)
         alphas = [1.0] * (m - 1) + [8.0] if m > 1 else [1.0]
-    weighted, per_stage = weighted_entropy(net, alphas, conventions, layers=layers)
-    path = entropy_path(layers, conventions)
+    weighted, per_stage = weighted_entropy(net, alphas, layers=layers)
+    path = entropy_path(layers)
     widths = tuple(projected_width(l) for l in path)
     return MetricReport(
         entropy_per_stage=tuple(per_stage),

@@ -123,6 +123,8 @@ class ProblemSpec:
                           ("depth_bounds", self.depth_bounds)):
             if len(seq) != m:
                 raise ValueError(f"{name} must have {m} entries, got {len(seq)}")
+        if not all(map(math.isfinite, (*self.alphas, self.beta, self.rho0))):
+            raise ValueError("alphas, beta and rho0 must be finite")
         if any(a < 0 for a in self.alphas):
             raise ValueError("alphas must be nonnegative")
         if self.beta < 0 or self.rho0 <= 0:
@@ -296,7 +298,7 @@ class _StageModel:
         self.prob = prob
         self.conv = conventions
         self.exact = exact
-        self.path = path_roles(conventions)
+        self.path = path_roles()
         self.stages, self.repeats, self.tails = {}, {}, {}  # keyed (i, c_prev, c), (i, c), c
 
         stem = prob.stem
@@ -391,9 +393,8 @@ class _StageModel:
         stage_logw[0] = stem_logw + stage_logw[0]  # the stem counts toward stage 0
         cumulative = list(itertools.accumulate(stage_logw))
         rho = n_path / math.exp(cumulative[-1] / n_path)
-        sums = stage_logw if self.conv.stagewise_entropy else cumulative
         weighted = 0.0
-        for alpha, factor, s in zip(prob.alphas, factors, sums):
+        for alpha, factor, s in zip(prob.alphas, factors, cumulative):
             weighted += alpha * factor * s
         return weighted, rho, params, flops, stage_params, stage_flops
 
@@ -414,11 +415,10 @@ class _StageModel:
         k = np.asarray(depth_vecs, dtype=float).T - 1.0
         params, flops, logw, n_path = (
             first[..., j].sum(axis=1)[:, None] + repeat[..., j] @ k for j in range(4))
-        # stage i's entropy sum weighs alpha_i * factor_i, and with cumulative
-        # sums stage j's log widths count toward every stage i >= j
+        # stage i's entropy sum weighs alpha_i * factor_i, and stage j's log
+        # widths count toward every stage i >= j
         w = np.array(self.prob.alphas) * np.reshape([e[2] for e in entries], shape[:2])
-        if not self.conv.stagewise_entropy:
-            w = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+        w = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
         weighted = (w * first[..., 2]).sum(axis=1)[:, None] + (w * repeat[..., 2]) @ k
         return weighted, n_path / np.exp(logw / n_path), params, flops
 

@@ -29,8 +29,6 @@ __all__ = [
     "MeanReport",
     "theoretical_variance",
     "log_theoretical_variance",
-    "simulate_mlp_variance",
-    "mean_check",
     "check_variance_law",
 ]
 
@@ -197,12 +195,3 @@ def check_variance_law(cfg: SimulationConfig) -> tuple[VarianceReport, MeanRepor
                            seed=cfg.seed, passed=abs(mean) <= bound)
     return variance, zero_mean
 
-
-def simulate_mlp_variance(cfg: SimulationConfig) -> VarianceReport:
-    """Empirical variance of the first output coordinate vs the product law."""
-    return check_variance_law(cfg)[0]
-
-
-def mean_check(cfg: SimulationConfig) -> MeanReport:
-    """Zero-mean law: |empirical mean| <= 4 sigma / sqrt(n)."""
-    return check_variance_law(cfg)[1]

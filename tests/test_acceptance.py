@@ -32,7 +32,7 @@ from entromax.solver import (
     evaluate,
     solve,
 )
-from entromax.variance import SimulationConfig, mean_check, simulate_mlp_variance
+from entromax.variance import SimulationConfig, check_variance_law
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -155,10 +155,9 @@ def test_criterion_5_variance_law():
     t0 = time.perf_counter()
     for widths in ((16, 32), (8, 8, 8)):
         cfg = SimulationConfig(widths=widths, n_samples=100_000, seed=2024)
-        var = simulate_mlp_variance(cfg)
+        var, mean = check_variance_law(cfg)
         assert var.passed, f"{widths}: {var}"
         assert abs(var.empirical - var.theoretical) <= 5 * var.stderr
-        mean = mean_check(cfg)
         assert mean.passed, f"{widths}: {mean}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from entromax import catalog
-from entromax.conventions import PINNED, with_flags
+from entromax.conventions import PINNED
 from entromax.fileio import network_from_dict, network_to_dict
-from entromax.metrics import count_flops, count_params, effectiveness
+from entromax.metrics import count_flops, count_params, effectiveness, metric_report
 from entromax.model import expand, validate
 
 
@@ -63,29 +65,21 @@ def test_calibration_pins_the_flop_convention():
     # the reference table forces the batch-norm flop charge uniquely
     assert {c.flops_bn_cost for c in report.passing} == {2}
     # conv MACs alone undercount the mobile reference figure
-    bare = with_flags(PINNED, flops_bn_cost=0)
+    bare = dataclasses.replace(PINNED, flops_bn_cost=0)
     rows = {r.name: r for r in report.results[bare]}
     assert not rows["mobilenet_v2"].flops_ok
 
 
-def test_calibration_rejects_stem_plus_shortcut_entropy():
-    report = catalog.calibrate()
-    combos = {(c.entropy_include_stem, c.entropy_include_shortcut)
-              for c in report.passing}
-    assert (True, True) not in combos
-    assert (True, False) in combos  # the pinned reading
-
-
 def test_bn_param_flag_does_not_touch_rho():
     spec = catalog.reference("resnet50").spec
-    with_bn = effectiveness(spec, PINNED)
-    without = effectiveness(spec, with_flags(PINNED, params_include_bn=False))
-    assert with_bn == without
+    with_bn = metric_report(spec, conventions=PINNED)
+    no_bn = dataclasses.replace(PINNED, params_include_bn=False)
+    without = metric_report(spec, conventions=no_bn)
+    assert with_bn.rho == without.rho
+    assert with_bn.params > without.params
 
 
 def test_flops_scale_spatially_for_resnet50():
-    import dataclasses
-
     spec = catalog.reference("resnet50").spec
     doubled = dataclasses.replace(spec, input_resolution=448)
     assert count_flops(doubled) == pytest.approx(4 * count_flops(spec), rel=5e-3)

@@ -289,6 +289,31 @@ def test_calibrate_passes_and_writes(tmp_path, capsys):
     assert "forced to 2" in target.read_text()
 
 
+def test_committed_calibration_report_is_current(tmp_path, capsys):
+    target = tmp_path / "calibration.md"
+    assert run_cli(["calibrate", "--write", str(target)], capsys)[0] == 0
+    committed = Path(__file__).parents[1] / "docs" / "calibration.md"
+    assert committed.read_text() == target.read_text()
+
+
+@pytest.mark.parametrize("command", [["analyze", "resnet18"], ["compare", "resnet18", "resnet34"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_alphas_are_usage_errors(command, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--alphas", f"1,{value},1,8"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+
+
+@pytest.mark.parametrize("flag", ["--stagewise-entropy", "--shortcut-entropy",
+                                  "--no-stem-entropy"])
+def test_entropy_path_has_no_flags(flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "resnet18", flag])
+    assert err.value.code == 2
+
+
 def test_compare_alphas_weigh_both_networks(capsys):
     code, out, _ = run_cli(["compare", "resnet18", "resnet34", "--json",
                             "--alphas", "1,2,3,4"], capsys)

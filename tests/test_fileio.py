@@ -114,6 +114,21 @@ def test_parse_error_carries_line_context(tmp_path):
         load_json(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_numbers_raise_parse_error(tmp_path, literal):
+    path = tmp_path / "problem.json"
+    doc = dict(json.loads(shipped("problems", "resnet18_scale")), rho0="@")
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    with pytest.raises(ParseError, match=f"{literal} is not a finite number"):
+        load_json(path)
+
+
+def test_dumps_refuses_non_finite_numbers():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dumps({"objective": value})
+
+
 def test_problem_round_trip(tmp_path):
     from importlib import resources
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from entromax.blocks import BlockKind
 from entromax.catalog import reference
-from entromax.conventions import PINNED, with_flags
+from entromax.conventions import PINNED
 from entromax.metrics import (
     average_width,
     cnn_entropy,
@@ -214,15 +215,6 @@ def test_weighted_entropy_resnet18_golden():
     assert total == pytest.approx(11818.707134703825, rel=1e-12)
 
 
-def test_stagewise_flag_decouples_stage_sums():
-    net = reference("resnet18").spec
-    conv = with_flags(PINNED, stagewise_entropy=True)
-    _, cumulative = weighted_entropy(net, [1.0] * 4)
-    _, stagewise = weighted_entropy(net, [1.0] * 4, conv)
-    assert stagewise[0] == cumulative[0]  # stage one sees the same prefix
-    assert all(s < c for s, c in zip(stagewise[1:], cumulative[1:]))
-
-
 # --- parameter and flop counting ----------------------------------------------
 
 def test_param_count_bare_1x1_conv():
@@ -236,7 +228,7 @@ def test_flop_count_bare_1x1_conv_at_r4():
 def test_bn_affine_params_behind_flag():
     layer = conv_layer(8, 8, bn=True)
     assert params_of_layers([layer]) == 64 + 16
-    no_bn = with_flags(PINNED, params_include_bn=False)
+    no_bn = dataclasses.replace(PINNED, params_include_bn=False)
     assert params_of_layers([layer], no_bn) == 64
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -134,6 +135,10 @@ def test_realize_rejects_out_of_bounds():
       "width_bounds": ((16, 48), (16, 48)), "stem": StemSpec(channels=16)},
      "width granularity"),
     ({"downsample_schedule": ("no", True)}, "flag_not_bool"),
+    # NaN slips past the sign checks: every comparison with it is false
+    ({"alphas": (math.nan, 1.0)}, "finite"), ({"alphas": (1.0, math.inf)}, "finite"),
+    ({"beta": math.nan}, "finite"), ({"beta": math.inf}, "finite"),
+    ({"rho0": math.nan}, "finite"), ({"rho0": math.inf}, "finite"),
 ])
 def test_check_rejects_problems_whose_designs_fail_validation(change, code):
     prob = dataclasses.replace(tiny_problem(0), stages=2, alphas=(1.0, 1.0),
@@ -262,7 +267,7 @@ def test_callers_cannot_change_a_memoized_evaluation():
 def test_interleaved_problems_and_conventions_match_cold_evaluations():
     base = tiny_problem(3, family=1)
     probs = (base, dataclasses.replace(base, alphas=(2.0, 0.5), max_params=base.max_params // 2))
-    convs = (PINNED, Conventions(params_include_bn=False, stagewise_entropy=True))
+    convs = (PINNED, Conventions(params_include_bn=False, flops_bn_cost=0))
     cands = _some_candidates(base, 6)
     pairs = list(itertools.product(probs, convs))
     cold = {(n, c): _cold(cand, *pair) for n, pair in enumerate(pairs)
@@ -443,8 +448,6 @@ def _oracle_cases():
     narrow, wide = (evaluate(Candidate((w,), (2,)), base) for w in (8, 16))
     cases["binding-tie"] = (dataclasses.replace(
         base, rho0=narrow.rho / 2, max_params=wide.params // 2), PINNED)
-    cases["stagewise"] = (tiny_problem(6), Conventions(stagewise_entropy=True,
-                                                       entropy_include_stem=False))
     cases["no-bn-params"] = (_tightened(tiny_problem(7))["params"],
                              Conventions(params_include_bn=False))
     return cases
@@ -862,7 +865,8 @@ def model_cases(draw, block):
 
 
 def _close(a, b):
-    return abs(a - b) <= 1e-12 * abs(b)
+    # subnormal results (alphas near 5e-324) keep too few bits for a relative bound
+    return abs(a - b) <= 1e-12 * abs(b) + sys.float_info.min
 
 
 @pytest.mark.parametrize("block", BLOCKS.values(), ids=BLOCKS.keys())
@@ -883,9 +887,9 @@ def test_stage_model_matches_expand_and_metrics(block, data):
             stage = [l for l in layers if l.stage == i]
             assert ev.stage_params[i] == params_of_layers(stage, conv)
             assert ev.stage_flops[i] == flops_of_layers(stage, conv)
-        weighted, _ = weighted_entropy(net, prob.alphas, conv, layers=layers)
+        weighted, _ = weighted_entropy(net, prob.alphas, layers=layers)
         assert _close(ev.weighted_entropy, weighted)
-        assert _close(ev.rho, effectiveness(net, conv, layers=layers))
+        assert _close(ev.rho, effectiveness(net, layers=layers))
 
         if divisions_exact:
             # the relaxed branch at the same inputs as floats
@@ -898,9 +902,7 @@ def test_stage_model_matches_expand_and_metrics(block, data):
 
 GRID_CONVENTIONS = (
     PINNED,
-    Conventions(stagewise_entropy=True),
     Conventions(params_include_bn=False, flops_bn_cost=0),
-    Conventions(entropy_include_stem=False, entropy_include_shortcut=True),
 )
 
 

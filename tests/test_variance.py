@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entromax import variance
+from entromax.blocks import BlockKind
+from entromax.metrics import weighted_entropy
+from entromax.model import NetworkSpec, StageSpec, StemSpec, stage_resolutions
 from entromax.variance import (
     MeanReport,
     SimulationConfig,
     check_variance_law,
     log_theoretical_variance,
-    mean_check,
-    simulate_mlp_variance,
     theoretical_variance,
 )
 
@@ -38,14 +39,14 @@ def test_theoretical_variance_deep_stack_via_logs():
 
 
 def test_width_one_chain_has_unit_variance():
-    rep = simulate_mlp_variance(SimulationConfig(widths=(1,), n_samples=100_000,
+    rep, _ = check_variance_law(SimulationConfig(widths=(1,), n_samples=100_000,
                                                  seed=SEED))
     assert abs(rep.empirical - 1.0) < 0.03
     assert rep.passed
 
 
 def test_two_layer_product_law():
-    rep = simulate_mlp_variance(SimulationConfig(widths=(16, 32),
+    rep, _ = check_variance_law(SimulationConfig(widths=(16, 32),
                                                  n_samples=100_000, seed=SEED))
     assert rep.theoretical == 512.0
     assert abs(rep.empirical / rep.theoretical - 1.0) < 0.05
@@ -53,7 +54,7 @@ def test_two_layer_product_law():
 
 
 def test_three_layer_product_law():
-    rep = simulate_mlp_variance(SimulationConfig(widths=(8, 8, 8),
+    rep, _ = check_variance_law(SimulationConfig(widths=(8, 8, 8),
                                                  n_samples=200_000, seed=SEED))
     assert rep.theoretical == 512.0
     assert abs(rep.empirical / rep.theoretical - 1.0) < 0.05
@@ -62,7 +63,7 @@ def test_three_layer_product_law():
 
 def test_mean_check_bands():
     for widths, n in (((16, 32), 100_000), ((1,), 10_000), ((8, 8, 8), 100_000)):
-        rep = mean_check(SimulationConfig(widths=widths, n_samples=n, seed=SEED))
+        _, rep = check_variance_law(SimulationConfig(widths=widths, n_samples=n, seed=SEED))
         assert isinstance(rep, MeanReport)
         assert rep.bound == pytest.approx(
             4 * math.sqrt(theoretical_variance(widths) / n), rel=1e-12)
@@ -71,13 +72,13 @@ def test_mean_check_bands():
 
 def test_identical_seed_gives_bit_identical_statistics():
     cfg = SimulationConfig(widths=(16, 32), n_samples=30_000, seed=7)
-    assert simulate_mlp_variance(cfg) == simulate_mlp_variance(cfg)
+    assert check_variance_law(cfg) == check_variance_law(cfg)
 
 
 def test_parallel_equals_sequential():
     cfg = SimulationConfig(widths=(8, 8), n_samples=50_000, seed=11)
-    seq = simulate_mlp_variance(cfg)
-    par = simulate_mlp_variance(dataclasses.replace(cfg, threads=4))
+    seq = check_variance_law(cfg)
+    par = check_variance_law(dataclasses.replace(cfg, threads=4))
     assert par == seq
 
 
@@ -142,25 +143,25 @@ def test_chunk_memory_is_bounded_at_wide_layers():
 
 
 def test_different_seeds_differ():
-    a = simulate_mlp_variance(SimulationConfig(widths=(8, 8), n_samples=20_000, seed=1))
-    b = simulate_mlp_variance(SimulationConfig(widths=(8, 8), n_samples=20_000, seed=2))
+    a, _ = check_variance_law(SimulationConfig(widths=(8, 8), n_samples=20_000, seed=1))
+    b, _ = check_variance_law(SimulationConfig(widths=(8, 8), n_samples=20_000, seed=2))
     assert a.empirical != b.empirical
 
 
 def test_quenched_mode_runs():
     cfg = SimulationConfig(widths=(8, 8), n_samples=20_000, seed=3, quenched=True)
-    rep = simulate_mlp_variance(cfg)
+    rep, _ = check_variance_law(cfg)
     assert rep.empirical > 0
 
 
 def test_infeasible_width_product_is_rejected():
     cfg = SimulationConfig(widths=(10,) * 30, n_samples=1000, seed=0)
     with pytest.raises(ValueError, match="log-space"):
-        simulate_mlp_variance(cfg)
+        check_variance_law(cfg)
 
 
 def test_ratio_band_uses_estimator_stderr():
-    rep = simulate_mlp_variance(SimulationConfig(widths=(16, 32),
+    rep, _ = check_variance_law(SimulationConfig(widths=(16, 32),
                                                  n_samples=100_000, seed=SEED))
     # the harness asserts against its own standard error, not a fixed constant
     assert rep.passed == (abs(rep.empirical - rep.theoretical) <= 5 * rep.stderr)
@@ -178,3 +179,130 @@ def test_geometric_mean_log_identity_on_random_lists():
         lhs = n * math.log(average_width(widths))
         rhs = math.fsum(math.log(w) for w in widths)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+# --- the entropy path against the variance law ------------------------------
+# Each case samples a small linear Gaussian conv network: valid stride-1
+# convolutions with fresh standard-normal weights per sample, on a patch of
+# side 1 + sum(k - 1), reading output channel 0 of the last conv at the
+# centre pixel.  Stride and padding do not change that pixel's variance:
+# it still sums c_in * k^2 / g inputs.  The pinned entropy path must give
+# the sampled variance, and each rejected reading (among them those of the
+# removed stem, shortcut and stage-local path flags) must miss it.
+
+LAW_SAMPLES = 20_000
+LAW_BLOCK = 2_000  # samples drawn at once, bounding the weight arrays
+
+
+def _conv(x, w, groups=1):
+    """Valid convolution of each sample x[s] (c_in, side, side) with its own
+    weights w[s] (c_out, c_in / groups, k, k)."""
+    n, c_in, side, _ = x.shape
+    _, c_out, c_g, k, _ = w.shape
+    out = side - k + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, groups, c_g * k * k, out * out)
+    y = w.reshape(n, groups, c_out // groups, c_g * k * k) @ cols
+    return y.reshape(n, c_out, out, out)
+
+
+def _sampled_variance(network, seed=0):
+    """(variance, standard error) of network(rng, n) over LAW_SAMPLES draws;
+    the error comes from the fourth moment, as `check_variance_law`'s does."""
+    rng = np.random.default_rng(seed)
+    s1 = s2 = s4 = 0.0
+    for start in range(0, LAW_SAMPLES, LAW_BLOCK):
+        y = network(rng, min(LAW_BLOCK, LAW_SAMPLES - start)).reshape(-1)
+        s1 += float(np.sum(y))
+        s2 += float(np.sum(y ** 2))
+        s4 += float(np.sum(y ** 4))
+    n = LAW_SAMPLES
+    mean = s1 / n
+    var = s2 / n - mean * mean
+    return var, math.sqrt(max(s4 / n - var * var, 0.0) / n)
+
+
+def _path_variance(net, stage=-1):
+    """The output variance the pinned entropy path gives a stage: the product
+    of projected widths that its entropy H_i = log(r_i^2 c_i) * sum log w scales."""
+    _, per_stage = weighted_entropy(net, [1.0] * len(net.stages))
+    r = stage_resolutions(net)[stage]
+    return math.exp(per_stage[stage] / math.log(r * r * net.stages[stage].width))
+
+
+def _net(stem_channels, *stages, in_channels=3):
+    return NetworkSpec(input_resolution=8, in_channels=in_channels,
+                       stem=StemSpec(channels=stem_channels, kernel=3, stride=1),
+                       stages=stages, num_classes=10)
+
+
+def _assert_law(network, laws, rejected):
+    """Every law value lies within 5 standard errors of the sampled variance,
+    and every rejected reading outside them."""
+    var, se = _sampled_variance(network)
+    for law in laws:
+        assert abs(var - law) <= 5 * se, (var, se, law)
+    for reading in rejected:
+        assert abs(var - reading) > 5 * se, (var, se, reading)
+
+
+def test_variance_law_puts_the_stem_in_series():
+    net = _net(8, StageSpec(BlockKind.plain(), depth=1, width=8))
+    assert _path_variance(net) == pytest.approx(27 * 72, rel=1e-12)
+
+    def network(rng, n):
+        x = rng.standard_normal((n, 3, 5, 5))
+        x = _conv(x, rng.standard_normal((n, 8, 3, 3, 3)))  # stem 3 -> 8
+        return _conv(x, rng.standard_normal((n, 1, 8, 3, 3)))  # 8 -> 8, channel 0
+
+    _assert_law(network, [_path_variance(net)], rejected=[72])  # stem excluded
+
+
+def test_variance_law_multiplies_over_the_stage_prefix():
+    # stage 0 holds the stem and one conv, stage 1 the third conv
+    net = _net(4, StageSpec(BlockKind.plain(), depth=1, width=4),
+               StageSpec(BlockKind.plain(), depth=1, width=4), in_channels=4)
+    assert _path_variance(net) == pytest.approx(36 ** 3, rel=1e-12)
+
+    def network(rng, n):
+        x = rng.standard_normal((n, 4, 7, 7))
+        for _ in range(2):
+            x = _conv(x, rng.standard_normal((n, 4, 4, 3, 3)))
+        return _conv(x, rng.standard_normal((n, 1, 4, 3, 3)))
+
+    _assert_law(network, [_path_variance(net)], rejected=[36])  # stage-local
+
+
+def test_variance_law_adds_a_projection_shortcut_in_parallel():
+    # a basic block 8 -> 16 after the stem: its 1x1 projection adds c_in = 8
+    net = _net(8, StageSpec(BlockKind.resnet_basic(), depth=1, width=16))
+    path = _path_variance(net)
+    assert path == pytest.approx(27 * 72 * 144, rel=1e-12)
+
+    def network(rng, n):
+        x = rng.standard_normal((n, 3, 7, 7))
+        h = _conv(x, rng.standard_normal((n, 8, 3, 3, 3)))  # stem, 5 x 5 out
+        main = _conv(h, rng.standard_normal((n, 16, 8, 3, 3)))
+        main = _conv(main, rng.standard_normal((n, 1, 16, 3, 3)))
+        short = _conv(h[:, :, 2:3, 2:3], rng.standard_normal((n, 1, 8, 1, 1)))
+        return main + short
+
+    # the path drops the parallel term, 8 / 10,376 of the law, inside the band
+    _assert_law(network, [27 * (72 * 144 + 8), path],
+                rejected=[path * 8])  # shortcut on the path
+
+
+def test_variance_law_divides_projected_width_by_groups():
+    # two depthwise 3x3 convs at c = 4 after a dense stem: w = c k^2 / g = 9
+    net = _net(4, StageSpec(BlockKind.plain(), depth=2, width=4, groups=4),
+               in_channels=4)
+    assert _path_variance(net) == pytest.approx(36 * 9 * 9, rel=1e-12)
+
+    def network(rng, n):
+        x = rng.standard_normal((n, 4, 7, 7))
+        x = _conv(x, rng.standard_normal((n, 4, 4, 3, 3)))
+        x = _conv(x, rng.standard_normal((n, 4, 1, 3, 3)), groups=4)
+        # channel 0 of the last depthwise conv reads input channel 0 alone
+        return _conv(x[:, :1], rng.standard_normal((n, 1, 1, 3, 3)))
+
+    _assert_law(network, [_path_variance(net)], rejected=[36 ** 3])  # groups ignored
