@@ -137,8 +137,8 @@ def weighted_entropy(net: NetworkSpec, alphas: Sequence[float],
     """
     if len(alphas) != len(net.stages):
         raise ValueError(f"alpha count {len(alphas)} != stage count {len(net.stages)}")
-    if any(a < 0 for a in alphas):
-        raise ValueError("alphas must be nonnegative")
+    if not all(0 <= a < math.inf for a in alphas):  # NaN fails both comparisons
+        raise ValueError("alphas must be finite and nonnegative")
     path = entropy_path(expand(net) if layers is None else layers)
     resolutions = stage_resolutions(net)
 

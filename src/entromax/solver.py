@@ -11,9 +11,9 @@ expanded layer list.  Its exact branch serves every discrete evaluation
 and matches `metrics` over `model.expand`, the reference analyzer the
 tests hold it to; its relaxed branch takes real widths and depths.
 `evaluate` keeps the exact results of the (problem, conventions) objects
-it saw last, found by identity and keyed by candidate, and clears them
-at `_MEMO_CAP` = 512 entries: restarts revisit most lattice points, and a
-repeat costs a dict lookup.  Every counted evaluation still calls
+it saw last, found by identity and keyed by (widths, depths), and clears
+them at `_MEMO_CAP` = 512 entries: restarts revisit most lattice points,
+and a repeat costs a dict lookup.  Every counted evaluation still calls
 `evaluate` once, so counts and trajectories do not depend on the memo.
 
 Solution method (no external solver dependency, validated against the
@@ -236,11 +236,6 @@ def _cheapest(prob: ProblemSpec) -> Candidate:
     return Candidate(tuple(lo_g), tuple(lo for lo, _ in prob.depth_bounds))
 
 
-def _caps(prob: ProblemSpec) -> tuple[tuple[str, float], ...]:
-    """The budgeted constraints as (name, bound), in reporting order."""
-    return (("rho", prob.rho0), ("flops", prob.max_flops), ("params", prob.max_params))
-
-
 def _check_candidate(cand: Candidate, prob: ProblemSpec) -> None:
     """Raise ValueError unless the candidate is a lattice point of the problem."""
     if len(cand.widths) != prob.stages or len(cand.depths) != prob.stages:
@@ -288,10 +283,11 @@ class _StageModel:
     the continuous ascent climbs takes real widths, true division and a
     smooth squeeze-excite width.  Each instance memoizes each stage under
     (i, c_prev, c), as its block costs and entropy factor log(r_out_i^2 c),
-    and the tail (head conv and classifier) under the last width, so
-    `costs` makes one lookup per stage and one for the tail.  64 and 64.0
-    share a key but not a cost, so branches share no memo.  Tests hold the
-    exact branch to `metric_report` over `expand`.
+    the tail (head conv and classifier) under the last width, and up to
+    `_MEMO_CAP` width tuples' stages and tail, so `costs` makes one lookup.
+    `penalized` memoizes the depth penalty per depth tuple, for one restart's
+    ascent.  64 and 64.0 share a key but not a cost, so branches share no
+    memo.  Tests hold the exact branch to `metric_report` over `expand`.
     """
 
     def __init__(self, prob: ProblemSpec, conventions: Conventions, exact: bool = True):
@@ -300,6 +296,9 @@ class _StageModel:
         self.exact = exact
         self.path = path_roles()
         self.stages, self.repeats, self.tails = {}, {}, {}  # keyed (i, c_prev, c), (i, c), c
+        self.chains = {}  # widths -> ([stage entry], tail)
+        self.patterns = {}  # (i, first block, conv count) -> `_pattern`
+        self.q = {}  # depths -> depth_uniformity_penalty, for `penalized`
 
         stem = prob.stem
         r = prob.input_resolution
@@ -307,7 +306,7 @@ class _StageModel:
         # three input channels, as in every network `realize` builds
         stem_conv = ConvPlan(3, stem.channels, stem.kernel, 1, stem.stride,
                              ROLE_STEM, True, False)
-        self.stem = self._row_costs([(stem_conv, r, r_stem)])
+        self.stem = self._row_costs(zip([stem_conv], self._pattern([stem_conv], r)))
         r = halve(r_stem) if stem.pool else r_stem
         self.r_in: list[int] = []
         self.r_out: list[int] = []
@@ -317,25 +316,29 @@ class _StageModel:
                 r = halve(r)
             self.r_out.append(r)
 
+    def _pattern(self, plans, r_in: int):
+        """(output area, on the signal path) of each conv of a block."""
+        rows, _ = resolve_rows(plans, r_in)
+        return [(r_out * r_out, plan.role in self.path) for plan, _, r_out in rows]
+
     def _row_costs(self, rows):
-        """(params, flops, sum of log projected widths, path convs) of conv rows."""
-        conv = self.conv
+        """(params, flops, sum of log projected widths, path convs) of
+        (conv plan, (output area, on path)) rows."""
+        exact, conv = self.exact, self.conv
         params = flops = n_path = 0
         logw = 0.0
-        for plan, _, r_out in rows:
-            c_in = plan.c_in // plan.groups if self.exact else plan.c_in / plan.groups
-            weights = plan.c_out * c_in * plan.kernel ** 2
-            area = r_out * r_out
+        for (c_in, c_out, kernel, groups, _, _, has_bn, has_bias), (area, on_path) in rows:
+            weights = c_out * (c_in // groups if exact else c_in / groups) * kernel ** 2
             params += weights
             flops += weights * area
-            if plan.has_bn:
+            if has_bn:
                 if conv.params_include_bn:
-                    params += 2 * plan.c_out
-                flops += conv.flops_bn_cost * plan.c_out * area
-            if plan.has_bias:
-                params += plan.c_out
-            if plan.role in self.path:
-                w = plan.c_in * plan.kernel ** 2 / plan.groups
+                    params += 2 * c_out
+                flops += conv.flops_bn_cost * c_out * area
+            if has_bias:
+                params += c_out
+            if on_path:
+                w = c_in * kernel ** 2 / groups
                 if w < 1:
                     raise ValueError(f"projected width {w} below 1 has no entropy")
                 logw += math.log(w)
@@ -345,58 +348,64 @@ class _StageModel:
     def _block(self, i: int, c_in, c, first: bool):
         prob = self.prob
         stride = 2 if first and prob.downsample_schedule[i] else 1
-        plans = block_convs(prob.block, c_in, c, prob.kernel, prob.groups,
-                            stride, exact=self.exact)
-        rows, _ = resolve_rows(plans, self.r_in[i] if first else self.r_out[i])
-        return self._row_costs(rows)
+        plans = block_convs(prob.block, c_in, c, prob.kernel, prob.groups, stride, self.exact)
+        # its place and conv count fix a block's output areas and path roles
+        key = (i, first, len(plans))
+        pattern = self.patterns.get(key) or self.patterns.setdefault(
+            key, self._pattern(plans, self.r_in[i] if first else self.r_out[i]))
+        return self._row_costs(zip(plans, pattern))
 
     def _stage(self, i: int, c_prev, c):
         """Memoize stage i's costs; its repeat block and factor depend on c alone."""
         repeat = self.repeats.get((i, c)) or self.repeats.setdefault(
-            (i, c), (self._block(i, c, c, False), math.log(self.r_out[i] ** 2 * c)))
-        entry = self.stages[i, c_prev, c] = (self._block(i, c_prev, c, True), *repeat)
+            (i, c), (*self._block(i, c, c, False), math.log(self.r_out[i] ** 2 * c)))
+        entry = self.stages[i, c_prev, c] = (*self._block(i, c_prev, c, True), *repeat)
         return entry
 
     def _tail(self, c_prev):
-        """Memoize (params, flops) of the head conv, if any, and the classifier."""
-        prob, head, r = self.prob, self.prob.head_channels, self.r_out[-1]
+        """Memoize (params, flops) of the head conv, if any, and the
+        classifier, which runs on pooled features."""
+        prob, head, r, path = self.prob, self.prob.head_channels, self.r_out[-1], self.path
         rows = [] if head is None else [
-            (ConvPlan(c_prev, head, 1, 1, 1, ROLE_HEAD, True, False), r, r)]
-        rows.append((ConvPlan(c_prev if head is None else head, prob.num_classes,
-                              1, 1, 1, ROLE_CLASSIFIER, False, True), 1, 1))
+            (ConvPlan(c_prev, head, 1, 1, 1, ROLE_HEAD, True, False), (r * r, ROLE_HEAD in path))]
+        rows.append((ConvPlan(c_prev if head is None else head, prob.num_classes, 1, 1, 1,
+                              ROLE_CLASSIFIER, False, True), (1, ROLE_CLASSIFIER in path)))
         tail = self.tails[c_prev] = self._row_costs(rows)[:2]
         return tail
 
-    def costs(self, widths, depths):
-        """(weighted entropy, rho, params, flops, stage params, stage flops)."""
-        prob = self.prob
-        params, flops, stem_logw, n_path = self.stem
-        stage_params = []
-        stage_flops = []
-        stage_logw = []
-        factors = []
-        c_prev = prob.stem.channels
-        for i, (c, d) in enumerate(zip(widths, depths)):
-            entry = self.stages.get((i, c_prev, c)) or self._stage(i, c_prev, c)
-            (p1, f1, l1, n1), (p2, f2, l2, n2), factor = entry
-            k = d - 1
-            stage_params.append(p1 + k * p2)
-            stage_flops.append(f1 + k * f2)
-            stage_logw.append(l1 + k * l2)
-            n_path += n1 + k * n2
-            factors.append(factor)
+    def _chain(self, widths):
+        """Memoize a width chain's stage entries and tail, up to `_MEMO_CAP` chains."""
+        if len(self.chains) >= _MEMO_CAP:
+            self.chains.clear()
+        c_prev, entries = self.prob.stem.channels, []
+        for i, c in enumerate(widths):
+            entries.append(self.stages.get((i, c_prev, c)) or self._stage(i, c_prev, c))
             c_prev = c
-        p_tail, f_tail = self.tails.get(c_prev) or self._tail(c_prev)
-        params += sum(stage_params) + p_tail
-        flops += sum(stage_flops) + f_tail
+        chain = self.chains[widths] = (entries, self.tails.get(c_prev) or self._tail(c_prev))
+        return chain
 
-        stage_logw[0] = stem_logw + stage_logw[0]  # the stem counts toward stage 0
-        cumulative = list(itertools.accumulate(stage_logw))
-        rho = n_path / math.exp(cumulative[-1] / n_path)
+    def costs(self, widths: tuple, depths):
+        """(weighted entropy, rho, params, flops)."""
+        stem_params, stem_flops, logw, n_path = self.stem
+        entries, (p_tail, f_tail) = self.chains.get(widths) or self._chain(widths)
+        params = flops = 0
         weighted = 0.0
-        for alpha, factor, s in zip(prob.alphas, factors, cumulative):
-            weighted += alpha * factor * s
-        return weighted, rho, params, flops, stage_params, stage_flops
+        # logw runs over the stem and every stage so far: stage i's prefix sum
+        for alpha, (p1, f1, l1, n1, p2, f2, l2, n2, factor), d in zip(
+                self.prob.alphas, entries, depths):
+            k = d - 1
+            params += p1 + k * p2
+            flops += f1 + k * f2
+            logw += l1 + k * l2
+            n_path += n1 + k * n2
+            weighted += alpha * factor * logw
+        rho = n_path / math.exp(logw / n_path)
+        return weighted, rho, stem_params + (params + p_tail), stem_flops + (flops + f_tail)
+
+    def stage_costs(self, widths, depths) -> list[tuple]:
+        """(params, flops) of each stage of a candidate `costs` has seen."""
+        return [(e[0] + (d - 1) * e[4], e[1] + (d - 1) * e[5])
+                for e, d in zip(self.chains[widths][0], depths)]
 
     def grid(self, chains, depth_vecs):
         """`costs`'s weighted entropy, rho, params and flops of each width
@@ -408,8 +417,8 @@ class _StageModel:
                    for chain in chains
                    for i, (c_prev, c) in enumerate(zip((self.prob.stem.channels, *chain), chain))]
         shape = (len(chains), self.prob.stages, 4)  # params, flops, logw, path convs
-        first, repeat = (np.array([e[j] for e in entries], dtype=float).reshape(shape)
-                         for j in (0, 1))
+        first, repeat = (np.array([e[j:j + 4] for e in entries], dtype=float).reshape(shape)
+                         for j in (0, 4))
         first[:, 0] += self.stem  # the stem counts toward stage 0, the tail toward the last
         first[:, -1, :2] += [self.tails.get(ch[-1]) or self._tail(ch[-1]) for ch in chains]
         k = np.asarray(depth_vecs, dtype=float).T - 1.0
@@ -417,21 +426,25 @@ class _StageModel:
             first[..., j].sum(axis=1)[:, None] + repeat[..., j] @ k for j in range(4))
         # stage i's entropy sum weighs alpha_i * factor_i, and stage j's log
         # widths count toward every stage i >= j
-        w = np.array(self.prob.alphas) * np.reshape([e[2] for e in entries], shape[:2])
+        w = np.array(self.prob.alphas) * np.reshape([e[8] for e in entries], shape[:2])
         w = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
         weighted = (w * first[..., 2]).sum(axis=1)[:, None] + (w * repeat[..., 2]) @ k
         return weighted, n_path / np.exp(logw / n_path), params, flops
 
-    def penalized(self, widths, depths, mu: float, tol: float):
+    def penalized(self, widths: tuple, depths: tuple, mu: float, tol: float):
         """(objective - mu * exterior penalty, objective); budget excess
         below `tol` relative is free."""
         prob = self.prob
-        weighted, rho, params, flops, _, _ = self.costs(widths, depths)
-        obj = weighted - prob.beta * depth_uniformity_penalty(depths)
+        weighted, rho, params, flops = self.costs(widths, depths)
+        q = self.q.get(depths)
+        if q is None:
+            q = self.q[depths] = depth_uniformity_penalty(depths)
+        obj = weighted - prob.beta * q
         pen = 0.0
-        for (_, budget), used in zip(_caps(prob), (rho, flops, params)):
-            excess = max(0.0, used / budget - 1.0 - tol)
-            pen += excess * excess
+        for ratio in (rho / prob.rho0, flops / prob.max_flops, params / prob.max_params):
+            excess = ratio - 1.0 - tol
+            if excess > 0.0:
+                pen += excess * excess
         return obj - mu * pen, obj
 
 
@@ -441,7 +454,7 @@ def _model(prob: ProblemSpec, conventions: Conventions) -> _StageModel:
     return _StageModel(prob, conventions)
 
 
-# (problem, conventions, model, {Candidate: CandidateEval}) of the pair
+# (problem, conventions, model, {(widths, depths): CandidateEval}) of the pair
 # evaluated last; swapped whole, so no caller pairs one problem's key with
 # another's results
 _MEMO_CAP = 512
@@ -462,22 +475,23 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
     if owner is not prob or owner_conv is not conventions:
         model, known = _model(prob, conventions), {}
         _memo = (prob, conventions, model, known)
-    ev = known.get(cand)
+    key = (cand.widths, cand.depths)
+    ev = known.get(key)
     if ev is not None:
         return ev
     _check_candidate(cand, prob)
-    weighted, rho, params, flops, stage_params, stage_flops = model.costs(
-        cand.widths, cand.depths)
+    weighted, rho, params, flops = model.costs(*key)
+    stage_params, stage_flops = zip(*model.stage_costs(*key))
     q = depth_uniformity_penalty(cand.depths)
-    # `_caps` spelled out, in its order: a third of the cost of building it from `_caps`
+    # the budgeted constraints, in reporting order
     slacks = {"rho": prob.rho0 - rho, "flops": prob.max_flops - flops,
               "params": prob.max_params - params}
     violations = {name: -slack for name, slack in slacks.items() if slack < 0}
-    if any(a > b for a, b in zip(cand.widths, cand.widths[1:])):
+    if list(cand.widths) != sorted(cand.widths):
         violations["monotone"] = 1.0
     if len(known) >= _MEMO_CAP:
         known.clear()
-    ev = known[cand] = CandidateEval(
+    ev = known[key] = CandidateEval(
         objective=weighted - prob.beta * q,
         weighted_entropy=weighted,
         q=q,
@@ -487,8 +501,8 @@ def evaluate(cand: Candidate, prob: ProblemSpec,
         feasible=not violations,
         slacks=slacks,
         violations=violations,
-        stage_params=tuple(stage_params),
-        stage_flops=tuple(stage_flops),
+        stage_params=stage_params,
+        stage_flops=stage_flops,
     )
     return ev
 
@@ -523,7 +537,8 @@ def _better(a: tuple[Candidate, CandidateEval],
 def _binding(ev: CandidateEval, prob: ProblemSpec) -> tuple[str, float]:
     """The candidate's largest violation relative to its bound, as
     (constraint name, violation / bound), so counts compare with rho."""
-    scale = dict(_caps(prob), monotone=1.0)
+    scale = {"rho": prob.rho0, "flops": prob.max_flops, "params": prob.max_params,
+             "monotone": 1.0}
     return max(((k, v / scale[k]) for k, v in ev.violations.items()),
                key=lambda kv: kv[1])
 
@@ -631,13 +646,12 @@ def _pav(values) -> list[float]:
     vals: list[float] = []
     counts: list[int] = []
     for v in values:
-        vals.append(float(v))
-        counts.append(1)
-        while len(vals) > 1 and vals[-2] > vals[-1]:
-            v2, c2 = vals.pop(), counts.pop()
+        v, c = float(v), 1
+        while vals and vals[-1] > v:  # pool the new block into the one before
             v1, c1 = vals.pop(), counts.pop()
-            vals.append((v1 * c1 + v2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
+            v, c = (v1 * c1 + v * c) / (c1 + c), c1 + c
+        vals.append(v)
+        counts.append(c)
     out: list[float] = []
     for v, c in zip(vals, counts):
         out.extend([v] * c)
@@ -670,50 +684,43 @@ def _continuous_ascent(model: _StageModel, prob: ProblemSpec, w0, d0, mu: float)
     hi_w = [float(v) for v in hi_g]
     lo_d = [float(b[0]) for b in prob.depth_bounds]
     hi_d = [float(b[1]) for b in prob.depth_bounds]
+    m = prob.stages
+    # (is a width, stage, lower bound, upper bound, span) of each axis that can move
+    axes = [(j < m, j % m, lo, hi, hi - lo)
+            for j, (lo, hi) in enumerate(zip(lo_w + lo_d, hi_w + hi_d)) if hi - lo > 0]
 
+    w = tuple(_monotone_box(w0, lo_w, hi_w))
+    d = tuple(min(max(float(v), lo_d[i]), hi_d[i]) for i, v in enumerate(d0))
     # moves revisit points, the current one whenever a move clips at a
-    # bound, and scoring is deterministic: score each point once
-    scores: dict = {}
-
-    def score(w, d) -> float:
-        key = (tuple(w), tuple(d))
-        if key not in scores:
-            scores[key] = model.penalized(w, d, mu, _PENALTY_TOLERANCE)[0]
-        return scores[key]
-
-    w = _monotone_box(w0, lo_w, hi_w)
-    d = [min(max(float(v), lo_d[i]), hi_d[i]) for i, v in enumerate(d0)]
-    best = score(w, d)
+    # bound, and scoring is deterministic: score each (widths, depths) once
+    best = model.penalized(w, d, mu, _PENALTY_TOLERANCE)[0]
+    scores = {(w, d): best}
 
     step = _STEP_INIT
-    m = prob.stages
     for _ in range(_SWEEPS):
         improved = False
-        for j in range(2 * m):
-            is_width = j < m
-            k = j if is_width else j - m
-            span = (hi_w[k] - lo_w[k]) if is_width else (hi_d[k] - lo_d[k])
-            if span <= 0:
-                continue
-            for sign in (1.0, -1.0):
+        for is_width, k, lo, hi, span in axes:
+            move = step * span  # sign * (step * span) is sign * step * span, bit for bit
+            for v in (move, -move):
                 if is_width:
-                    trial_w = list(w)
-                    trial_w[k] += sign * step * span
-                    # w lies on the monotone box, so a trial between its
-                    # neighbours and inside the box is its own projection
-                    if not (max(lo_w[k], w[k - 1] if k else -math.inf) <= trial_w[k]
-                            <= min(hi_w[k], w[k + 1] if k + 1 < m else math.inf)):
-                        trial_w = _monotone_box(trial_w, lo_w, hi_w)
+                    v += w[k]
                     trial_d = d
+                    # w lies on the monotone box and the bounds rise with
+                    # the stage, so a trial between its neighbours projects
+                    # by clipping to its own bounds
+                    if (not k or w[k - 1] <= v) and (k + 1 == m or v <= w[k + 1]):
+                        trial_w = w[:k] + (min(max(v, lo), hi),) + w[k + 1:]
+                    else:
+                        trial_w = tuple(_monotone_box(w[:k] + (v,) + w[k + 1:], lo_w, hi_w))
                 else:
-                    trial_w = w
-                    trial_d = list(d)
-                    trial_d[k] = min(max(trial_d[k] + sign * step * span,
-                                         lo_d[k]), hi_d[k])
-                trial = score(trial_w, trial_d)
+                    trial_w, trial_d = w, d[:k] + (min(max(d[k] + v, lo), hi),) + d[k + 1:]
+                trial = scores.get((trial_w, trial_d))
+                if trial is None:
+                    trial = scores[trial_w, trial_d] = model.penalized(
+                        trial_w, trial_d, mu, _PENALTY_TOLERANCE)[0]
                 if trial > best:
                     best = trial
-                    w, d = list(trial_w), list(trial_d)
+                    w, d = trial_w, trial_d
                     improved = True
         if not improved:
             step *= 0.5
@@ -813,34 +820,41 @@ def round_and_repair(widths, depths, prob: ProblemSpec,
         return None  # monotone violation cannot occur by construction
 
 
-def _neighbors(cand: Candidate, prob: ProblemSpec):
-    """Deterministic move set for the discrete polish."""
-    g = prob.width_granularity
-    lo_g, hi_g = _granular_bounds(prob)
+def _point(widths: tuple[int, ...], depths: tuple[int, ...]) -> Candidate:
+    """A Candidate of lattice ints, without `__post_init__`'s coercion."""
+    cand = object.__new__(Candidate)
+    object.__setattr__(cand, "widths", widths)
+    object.__setattr__(cand, "depths", depths)
+    return cand
+
+
+def _neighbors(cand: Candidate, prob: ProblemSpec, bounds):
+    """Deterministic move set for the discrete polish around a monotone
+    lattice point; `bounds` is `_granular_bounds(prob)`."""
+    g = int(prob.width_granularity)  # moves skip `Candidate`'s coercion
+    lo_g, hi_g = bounds
     w, d = cand.widths, cand.depths
     m = prob.stages
-
-    def monotone_ok(ws):
-        return all(a <= b for a, b in zip(ws, ws[1:]))
+    d_lo, d_hi = zip(*prob.depth_bounds)
+    # w is monotone, so a new width at stage j keeps it monotone between
+    # its neighbours: floor[j] <= width <= ceil[j] holds bounds and order
+    floor = [max(lo, prev) for lo, prev in zip(lo_g, (lo_g[0], *w))]
+    ceil = [min(hi, nxt) for hi, nxt in zip(hi_g, (*w[1:], hi_g[-1]))]
 
     for j in range(m):
         for delta in (g, -g):
             nw = w[j] + delta
-            if lo_g[j] <= nw <= hi_g[j]:
-                ws = w[:j] + (nw,) + w[j + 1:]
-                if monotone_ok(ws):
-                    yield Candidate(ws, d)
+            if floor[j] <= nw <= ceil[j]:
+                yield _point(w[:j] + (nw,) + w[j + 1:], d)
         for delta in (1, -1):
             nd = d[j] + delta
-            if prob.depth_bounds[j][0] <= nd <= prob.depth_bounds[j][1]:
-                yield Candidate(w, d[:j] + (nd,) + d[j + 1:])
+            if d_lo[j] <= nd <= d_hi[j]:
+                yield _point(w, d[:j] + (nd,) + d[j + 1:])
     for j in range(m - 1):
         for da, db in ((g, -g), (-g, g)):
             wa, wb = w[j] + da, w[j + 1] + db
-            if lo_g[j] <= wa <= hi_g[j] and lo_g[j + 1] <= wb <= hi_g[j + 1]:
-                ws = w[:j] + (wa, wb) + w[j + 2:]
-                if monotone_ok(ws):
-                    yield Candidate(ws, d)
+            if floor[j] <= wa <= min(hi_g[j], wb) and lo_g[j + 1] <= wb <= ceil[j + 1]:
+                yield _point(w[:j] + (wa, wb) + w[j + 2:], d)
     # depth transfers preserve the total layer count, so they hop over the
     # uniformity-penalty barrier that blocks single +-1 depth moves
     for i in range(m):
@@ -848,36 +862,32 @@ def _neighbors(cand: Candidate, prob: ProblemSpec):
             if i == j:
                 continue
             di, dj = d[i] + 1, d[j] - 1
-            if di <= prob.depth_bounds[i][1] and dj >= prob.depth_bounds[j][0]:
+            if di <= d_hi[i] and dj >= d_lo[j]:
                 ds = list(d)
                 ds[i], ds[j] = di, dj
-                yield Candidate(w, tuple(ds))
+                yield _point(w, tuple(ds))
     # width-for-depth trades exchange budget between the two resources,
     # which no sequence of feasible single moves can do at a tight budget
     for i in range(m):
         for j in range(m):
             for dw, dd in ((g, -1), (-g, 1)):
                 nw, nd = w[i] + dw, d[j] + dd
-                if not (lo_g[i] <= nw <= hi_g[i]):
-                    continue
-                if not (prob.depth_bounds[j][0] <= nd <= prob.depth_bounds[j][1]):
-                    continue
-                ws = w[:i] + (nw,) + w[i + 1:]
-                if monotone_ok(ws):
-                    yield Candidate(ws, d[:j] + (nd,) + d[j + 1:])
+                if floor[i] <= nw <= ceil[i] and d_lo[j] <= nd <= d_hi[j]:
+                    yield _point(w[:i] + (nw,) + w[i + 1:], d[:j] + (nd,) + d[j + 1:])
 
 
 def _polish(start: tuple[Candidate, CandidateEval], prob: ProblemSpec,
             conventions: Conventions, budget: _Budget,
             ) -> tuple[Candidate, CandidateEval]:
+    bounds = _granular_bounds(prob)
     current = start
     while True:
         best_neighbor = None
-        for cand in _neighbors(current[0], prob):
+        for cand in _neighbors(current[0], prob, bounds):
             if not budget.take():
                 return current
             ev = evaluate(cand, prob, conventions)
-            if not ev.feasible:
+            if not ev.feasible or ev.objective < current[1].objective:  # not `_better`
                 continue
             entry = (cand, ev)
             if _better(entry, current) and (
@@ -960,7 +970,7 @@ def _run_restart(prob: ProblemSpec, opts: SolveOptions,
     result = None
     note = {"restart": restart, "evaluations": 0}
     if eval_cap > 0:
-        w0, d0 = _start_point(prob, restart, opts.seed)
+        w0, d0 = map(tuple, _start_point(prob, restart, opts.seed))
         # odd random restarts stay where they are drawn: the ascent pulls
         # everything into few basins, and rounding a raw draw keeps the
         # discrete search's start diversity

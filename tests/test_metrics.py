@@ -196,6 +196,17 @@ def test_weighted_entropy_zero_alphas():
     assert all(h > 0 for h in per_stage)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_weighted_entropy_rejects_non_finite_alphas(bad):
+    """NaN passes `a < 0` and inf passes both bounds, so each would give a
+    NaN or infinite entropy instead of an error."""
+    net = reference("resnet18").spec
+    with pytest.raises(ValueError, match="finite"):
+        weighted_entropy(net, [1.0, bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        metric_report(net, [bad, 1.0, 1.0, 1.0])
+
+
 def test_weighted_entropy_alpha_length_mismatch():
     with pytest.raises(ValueError):
         weighted_entropy(reference("resnet18").spec, [1.0, 1.0])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -241,6 +242,40 @@ def test_a_repeat_evaluation_is_served_from_the_memo():
     assert _cold(cand, prob) == first and _cold(cand, prob) is not first
 
 
+def test_evaluate_checks_its_input_with_the_memo_warm_or_cold():
+    """The memo holds only checked lattice points, keyed by (widths,
+    depths): off-lattice input raises whatever the memo holds, and a float
+    candidate coerces to ints and hits the entry of its int twin."""
+    prob = tiny_problem(3, family=1)
+    cand = _some_candidates(prob, 1)[0]
+    w, d = cand.widths, cand.depths
+    bad = (Candidate((w[0] + 1, *w[1:]), d),  # off the width lattice
+           Candidate(w, (prob.depth_bounds[0][1] + 1, *d[1:])),  # depth out of bounds
+           Candidate(w[:1], d[:1]))  # wrong arity
+    for warm in (False, True):
+        fresh = dataclasses.replace(prob)  # a new object: an empty memo
+        if warm:
+            solve(fresh, SolveOptions(restarts=3))
+            first = evaluate(cand, fresh)
+        for c in bad:
+            with pytest.raises(ValueError):
+                evaluate(c, fresh)
+    floats = Candidate(tuple(map(float, w)), tuple(map(float, d)))
+    assert floats.widths == w and all(type(v) is int for v in floats.widths + floats.depths)
+    assert evaluate(floats, fresh) is first
+
+
+def test_integral_granularities_of_other_types_give_int_designs():
+    """The polish builds its neighbours without `Candidate`'s coercion, so
+    a granularity of 8.0 or numpy's 8 must still step widths by the int 8."""
+    base = tiny_problem(3, family=1)
+    want = solve(base, SolveOptions(restarts=4))
+    for g in (8.0, np.int64(8)):
+        rep = solve(dataclasses.replace(base, width_granularity=g), SolveOptions(restarts=4))
+        assert rep.best == want.best and rep.objective == want.objective
+        assert all(type(v) is int for v in rep.best.widths + rep.best.depths)
+
+
 def test_callers_cannot_change_a_memoized_evaluation():
     """`solve`'s report and `feasible` hand out copies of the memoized
     slacks and violations, so mutating them changes no later evaluation."""
@@ -473,7 +508,7 @@ def test_brute_force_on_a_large_lattice_is_a_local_optimum():
     assert lattice_size(prob) >= 5 * 10**5
     best = brute_force(prob)
     assert best[1].feasible
-    for cand in _neighbors(best[0], prob):
+    for cand in _neighbors(best[0], prob, _granular_bounds(prob)):
         ev = evaluate(cand, prob)
         assert not (ev.feasible and _better((cand, ev), best)), cand
 
@@ -808,18 +843,40 @@ TRAJECTORIES = {
 }
 
 
-@pytest.mark.parametrize("case", TRAJECTORIES)
-def test_solver_trajectories_are_pinned(case):
+# sha256 of repr(report.trace) of the same solves: every restart's
+# continuous endpoints and penalty weight mu, so the relaxed ascent's float
+# path is pinned bit for bit (a different libm `log` or `exp` may move it)
+TRACE_DIGESTS = {
+    "tiny-0-1": "3129fb21876e83ca1b141c3f314ce3dd6097551d3409d598daa83ba0719d5cd8",
+    "tiny-1-27": "88e38a86690fc86f97815433c454a1c7473d91ce22b26f7ac114c3ba2d003bcd",
+    "tiny-1-3": "cca77e39204265bceacd4fcea928ba012b7292c338c103473cb6ad41c10a8664",
+    "resnet18_scale": "16bc8e188c98f013991fd3906d69aa40ae50fd3435e2a7561170f48554bc56dd",
+}
+
+
+def _pinned_solve(case):
     if case.startswith("tiny"):
         _, family, seed = case.split("-")
         prob, opts = tiny_problem(int(seed), family=int(family)), SolveOptions(trace=True)
     else:
         prob, opts = _shipped(case), SolveOptions(max_evals=3000, trace=True)
-    rep = solve(prob, opts)
+    return solve(prob, opts)
+
+
+@pytest.mark.parametrize("case", TRAJECTORIES)
+def test_solver_trajectories_are_pinned(case):
+    rep = _pinned_solve(case)
     widths, depths, evaluations, per_restart = TRAJECTORIES[case]
     assert rep.best == Candidate(widths, depths)
     assert rep.evaluations == evaluations
     assert tuple(note["evaluations"] for note in rep.trace) == per_restart
+
+
+@pytest.mark.parametrize("case", TRACE_DIGESTS)
+def test_solver_trace_digests_are_pinned(case):
+    trace = _pinned_solve(case).trace
+    assert all("continuous" in note for note in trace) and any("mu" in note for note in trace)
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == TRACE_DIGESTS[case]
 
 
 # --- the stage-separable model against expand + metrics -------------------------
@@ -894,9 +951,9 @@ def test_stage_model_matches_expand_and_metrics(block, data):
         if divisions_exact:
             # the relaxed branch at the same inputs as floats
             relaxed = _StageModel(prob, conv, exact=False).costs(
-                [float(w) for w in cand.widths], [float(d) for d in cand.depths])
+                tuple(map(float, cand.widths)), tuple(map(float, cand.depths)))
             exact = _model(prob, conv).costs(cand.widths, cand.depths)
-            for r, e in zip(relaxed[:4], exact[:4]):
+            for r, e in zip(relaxed, exact):
                 assert _close(r, e)
 
 
@@ -968,7 +1025,7 @@ def test_relaxed_costs_do_not_leak_into_exact_evaluations(block, groups):
     fresh = evaluate(cand, prob)
     _model.cache_clear()
     relaxed = _StageModel(prob, PINNED, exact=False).costs(
-        [float(w) for w in cand.widths], [float(d) for d in cand.depths])
+        tuple(map(float, cand.widths)), tuple(map(float, cand.depths)))
     assert relaxed[2] != fresh.params  # the branches differ here
     # an equal copy of the problem misses the evaluation memo
     assert evaluate(cand, dataclasses.replace(prob)) == fresh
