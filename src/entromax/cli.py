@@ -155,7 +155,8 @@ def cmd_solve(args) -> int:
     if not report.feasible:
         _log(f"infeasible: tightest violated constraint is {report.infeasibility}"
              if report.infeasibility else f"no feasible point found within "
-             f"{report.evaluations} evaluations (budget exhausted)")
+             f"{report.evaluations} evaluations"
+             + (" (budget exhausted)" if report.budget_exhausted else ""))
         return 1
     return 0
 
@@ -289,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a width/depth design problem")
     p.add_argument("--problem", required=True,
                    help="problem file or shipped problem name")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="unused, must be non-negative: restarts start at fixed points")
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--threads", type=int, default=None,
                    help="processes that run restarts, this one included "

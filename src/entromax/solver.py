@@ -24,8 +24,8 @@ the contenders exactly and takes its 10^6-point cap in well under a second):
            multi-start projected coordinate ascent on an exterior-penalty
            objective with adaptive step shrinking; width iterates are kept
            on the non-decreasing cone by pool-adjacent-violators projection.
-           The penalty weight starts at ten times the objective scale and
-           doubles with each restart index; constraint violations below
+           The penalty weight starts at ten times the objective's size
+           at the start and doubles with each restart index; constraint violations below
            0.5% relative are tolerated here because rounding absorbs them.
   phase 2  round to the integer/granularity lattice, then greedy repair:
            shrink the most expensive stage's width first, then depths,
@@ -36,12 +36,12 @@ the contenders exactly and takes its 10^6-point cap in well under a second):
            stage for one block of depth in any stage; best-improvement,
            until no improving feasible neighbour exists.
 
-Restarts are independent and deterministically seeded from (seed,
-restart index): random starts reproduce `numpy.random.default_rng([seed,
-restart]).uniform` bit for bit in pure Python, so designs do not depend on
-the installed numpy.  The global best is reduced with a total tie-break
-(higher objective, lower params, lexicographically smaller widths, then
-depths), so parallel and sequential runs return identical results.
+Restarts are independent and start at fixed points, corners of the bounds
+and then R-sequence points, so a solve depends only on the problem, the
+restart count, the evaluation cap and the conventions.  The global best is
+reduced with a total tie-break (higher objective, lower params,
+lexicographically smaller widths, then depths), so parallel and
+sequential runs return identical results.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class CandidateEval:
 
 @dataclass
 class SolveOptions:
-    seed: int = 0
+    seed: int = 0  # checked to be non-negative, and unused: restarts start at fixed points
     restarts: int = 12
     threads: int = 1
     max_evals: int = 200_000
@@ -902,82 +902,52 @@ def _polish(start: tuple[Candidate, CandidateEval], prob: ProblemSpec,
 # top-level solve
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+# (width, depth) fractions of the bounds where restarts 0-3 start; rho falls
+# with every width, so rho-tight optima sit at the wide, shallow corner
+_CORNERS = ((1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (1.0, 0.0))
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's 32-bit hash, whose constant steps by `mult` per call."""
-    def hashmix(v: int) -> int:
-        nonlocal const
-        v, const = v ^ const, const * mult & _M32
-        v = v * const & _M32
-        return v ^ v >> 16
-    return hashmix
+def _r_sequence(k: int, n: int) -> list[float]:
+    """Point k of the R-sequence in [0, 1)^n, frac(1/2 + k / phi^(j + 1)),
+    where phi is the positive root of x^(n + 1) = x + 1 (Roberts 2018, "The
+    unreasonable effectiveness of quasirandom sequences").  Only IEEE-754
+    +, -, * and / compute it, so its bits do not depend on the libm."""
+    phi = 2.0
+    while True:  # Newton's method falls onto phi from above
+        power = math.prod([phi] * n)
+        step = (power * phi - phi - 1.0) / ((n + 1) * power - 1.0)
+        if phi - step >= phi:
+            return [(0.5 + k / math.prod([phi] * (j + 1))) % 1.0 for j in range(n)]
+        phi -= step
 
 
-def _uniform_stream(seed: int, restart: int):
-    """The doubles in [0, 1) that `numpy.random.default_rng([seed, restart])`
-    draws, bit for bit: SeedSequence mixes the 32-bit words of both ints into
-    a pool of four, `generate_state(4, uint64)` seeds PCG64, and each step's
-    XSL-RR output gives `(x >> 11) * 2**-53`."""
-    words = [n >> s & _M32 for n in (seed, restart)
-             for s in range(0, max(n.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-
-    def mix(x, y):
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src, dst in itertools.product(range(4), repeat=2):
-        if src != dst:
-            pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word, dst in itertools.product(words[4:], range(4)):
-        pool[dst] = mix(pool[dst], hashmix(word))
-    generate = _hasher(0x8B51F9DD, 0x58F38DED)
-    state = [generate(pool[i % 4]) for i in range(8)]
-    s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
-    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
-    x = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128  # srandom
-    while True:
-        x = (x * _PCG_MULT + inc) & _M128
-        out, rot = (x >> 64 ^ x) & _M64, x >> 122
-        yield (((out >> rot | out << (64 - rot)) & _M64) >> 11) * 2.0 ** -53
+def _start_point(prob: ProblemSpec, restart: int) -> tuple[tuple, tuple]:
+    """(widths, depths) where a restart starts: `_CORNERS`, then R-sequence
+    points, widths first, scaled onto the granular bounds."""
+    m = prob.stages
+    u = ([f for f in _CORNERS[restart] for _ in range(m)] if restart < len(_CORNERS)
+         else _r_sequence(restart - len(_CORNERS) + 1, 2 * m))
+    bounds = [*zip(*_granular_bounds(prob)), *prob.depth_bounds]
+    x = [lo + (hi - lo) * t for (lo, hi), t in zip(bounds, u)]
+    return tuple(x[:m]), tuple(x[m:])
 
 
-def _start_point(prob: ProblemSpec, restart: int, seed: int):
-    """Deterministic restart start: two corner heuristics, one midpoint,
-    then seeded uniform draws."""
-    lo_g, hi_g = _granular_bounds(prob)
-    lo_d = [b[0] for b in prob.depth_bounds]
-    hi_d = [b[1] for b in prob.depth_bounds]
-    if restart == 0:
-        return [float(v) for v in hi_g], [float(v) for v in hi_d]
-    if restart == 1:
-        return [float(v) for v in lo_g], [float(v) for v in hi_d]
-    if restart == 2:
-        return ([(a + b) / 2 for a, b in zip(lo_g, hi_g)],
-                [(a + b) / 2 for a, b in zip(lo_d, hi_d)])
-    u = _uniform_stream(seed, restart)  # widths first, then depths
-    return tuple([a + (b - a) * next(u) for a, b in zip(map(float, lo), map(float, hi))]
-                 for lo, hi in ((lo_g, hi_g), (lo_d, hi_d)))
-
-
-def _run_restart(prob: ProblemSpec, opts: SolveOptions,
-                 conventions: Conventions, restart: int, eval_cap: int):
+def _run_restart(prob: ProblemSpec, conventions: Conventions, restart: int,
+                 eval_cap: int):
     budget = _Budget(eval_cap)
     result = None
     note = {"restart": restart, "evaluations": 0}
     if eval_cap > 0:
-        w0, d0 = map(tuple, _start_point(prob, restart, opts.seed))
-        # odd random restarts stay where they are drawn: the ascent pulls
-        # everything into few basins, and rounding a raw draw keeps the
+        w0, d0 = _start_point(prob, restart)
+        # odd restarts from 3 on stay where they start: the ascent pulls
+        # everything into few basins, and rounding a raw start keeps the
         # discrete search's start diversity
         ascend = restart < 3 or restart % 2 == 0
         if ascend:
             model = _StageModel(prob, conventions, exact=False)
-            mu0 = 10.0 * (1.0 + abs(model.penalized(w0, d0, 0.0, 0.0)[1]))
+            # the objective's scale, in its units; its weights' where it is 0
+            mu0 = 10.0 * (abs(model.penalized(w0, d0, 0.0, 0.0)[1])
+                          or sum(prob.alphas) + prob.beta)
             mu = mu0 * (2.0 ** restart)
             w, d = _continuous_ascent(model, prob, w0, d0, mu)
             note["mu"] = mu
@@ -1097,7 +1067,7 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
     caps = _restart_caps(opts.max_evals, opts.restarts)
 
     def run(r):
-        return _run_restart(prob, opts, conventions, r, caps[r])
+        return _run_restart(prob, conventions, r, caps[r])
 
     workers = min(opts.threads, opts.restarts)
     if workers > 1:
@@ -1121,18 +1091,16 @@ def solve(prob: ProblemSpec, opts: SolveOptions | None = None,
     if best is not None:
         cand, ev = best
     else:
-        # probe the cheapest lattice point to name the binding constraint
+        # probe the cheapest lattice point: a feasible one is the answer
         cand = _cheapest(prob)
         ev = evaluate(cand, prob, conventions)
-        if ev.feasible:
-            # budget starvation, not infeasibility: report the probe point
-            exhausted = True
-        else:
+        evaluations += 1
+        if not ev.feasible:
             cand = None
             # params and FLOPs rise with every width and depth, so only their
-            # excess at the cheapest point proves a starved search infeasible;
-            # an excess on rho alone may vanish at another point
-            if not exhausted or "params" in ev.violations or "flops" in ev.violations:
+            # excess at the cheapest point proves the problem infeasible; an
+            # excess on rho alone may vanish at another point
+            if "params" in ev.violations or "flops" in ev.violations:
                 infeasibility, _ = _binding(ev, prob)
     return SolveReport(
         best=cand, objective=ev.objective if cand is not None else -math.inf,

@@ -130,7 +130,8 @@ def test_solve_infeasible_budget_exits_one(tmp_path, capsys):
 
 def test_starved_solve_names_no_constraint_it_cannot_prove(tmp_path, capsys):
     # rho alone binds at the cheapest point, which proves nothing: 100
-    # evaluations find a feasible design
+    # evaluations find a feasible design; the count includes the probe of
+    # the cheapest point after the one evaluation of the search
     report = tmp_path / "report.json"
     code, _, err = run_cli(["solve", "--problem", "mobilenet_scale", "--max-evals", "1",
                             "--report", str(report)], capsys)
@@ -138,7 +139,7 @@ def test_starved_solve_names_no_constraint_it_cannot_prove(tmp_path, capsys):
     assert code == 1 and doc["feasible"] is False and doc["budget_exhausted"] is True
     assert doc["infeasibility"] is None
     assert err.splitlines()[-1] == (
-        "no feasible point found within 1 evaluations (budget exhausted)")
+        "no feasible point found within 2 evaluations (budget exhausted)")
     code, _, _ = run_cli(["solve", "--problem", "mobilenet_scale", "--max-evals", "100",
                           "--report", str(report)], capsys)
     assert code == 0 and json.loads(report.read_text())["feasible"] is True
@@ -149,13 +150,32 @@ def test_starved_solve_names_a_params_excess_at_the_cheapest_point(tmp_path, cap
 
     prob_file = tmp_path / "impossible.json"
     prob_file.write_text(dumps(problem_to_dict(
-        dataclasses.replace(tiny_problem(0), max_params=10))))
+        dataclasses.replace(tiny_problem(1), max_params=10))))
     code, out, err = run_cli(["solve", "--problem", str(prob_file), "--restarts", "4",
                               "--max-evals", "4"], capsys)
     doc = json.loads(out)
     assert code == 1 and doc["budget_exhausted"] is True
     assert doc["infeasibility"] == "params"
     assert err.splitlines()[-1] == "infeasible: tightest violated constraint is params"
+
+
+def test_solve_within_its_budget_names_no_constraint_it_cannot_prove(tmp_path, capsys):
+    # rho alone binds at the cheapest point; one restart stops short of its
+    # budget, and brute_force finds widths (56, 56), depths (2, 1)
+    import dataclasses
+
+    from entromax.solver import _cheapest, evaluate
+
+    prob = tiny_problem(49, family=1)
+    prob = dataclasses.replace(prob, rho0=0.5 * evaluate(_cheapest(prob), prob).rho)
+    prob_file = tmp_path / "rho.json"
+    prob_file.write_text(dumps(problem_to_dict(prob)))
+    code, out, err = run_cli(["solve", "--problem", str(prob_file), "--restarts", "1"],
+                             capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["feasible"] is False and doc["budget_exhausted"] is False
+    assert doc["infeasibility"] is None and doc["evaluations"] == 5
+    assert err.splitlines()[-1] == "no feasible point found within 5 evaluations"
 
 
 def test_solve_threads_without_fork_is_one_error_line(monkeypatch, tmp_path, capsys):
@@ -174,7 +194,9 @@ def test_solve_max_evals_one_flags_exhaustion(tmp_path, capsys):
         ["solve", "--problem", str(prob_file), "--max-evals", "1"], capsys)
     doc = json.loads(out)
     assert doc["budget_exhausted"] is True
-    assert doc["evaluations"] <= 1
+    # the search's one evaluation finds nothing; the cheapest point it then
+    # probes is feasible, and counts
+    assert doc["evaluations"] == 2 and doc["feasible"] is True
 
 
 def test_solve_trace_does_not_change_result(tmp_path, capsys):

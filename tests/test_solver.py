@@ -41,8 +41,8 @@ from entromax.solver import (
     solve,
 )
 from entromax import solver as solver_module
-from entromax.solver import (_better, _binding, _granular_bounds, _model, _neighbors, _StageModel,
-                             _start_point)
+from entromax.solver import (_better, _binding, _cheapest, _granular_bounds, _model, _neighbors,
+                             _r_sequence, _StageModel, _start_point)
 
 
 def r18_problem(max_params=11_689_512, max_flops=1_819_040_768, rho0=0.3):
@@ -572,20 +572,47 @@ def _stages_problem(m: int) -> ProblemSpec:
         depth_bounds=tuple((1 + i % 2, 2 if i == 1 else 3 + 5 * i) for i in range(m)))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 - 5,
-                                  (2**32 - 1) * 1000 + 7, (2**32 - 1) * 601 + 3])
-def test_random_starts_reproduce_numpy_draws(seed):
-    """`_start_point` draws in pure Python what `default_rng([seed, restart])`
-    draws, bit for bit, widths first and then depths from one stream."""
+def test_r_sequence_solves_its_phi_and_pins_its_first_points():
+    # phi is the golden ratio in one dimension and the plastic number in two
+    golden, plastic = (1 + 5 ** 0.5) / 2, 1.324717957244746
+    assert _r_sequence(1, 1) == pytest.approx([(0.5 + 1 / golden) % 1], abs=1e-15)
+    assert _r_sequence(1, 2) == pytest.approx(
+        [(0.5 + 1 / plastic) % 1, (0.5 + plastic ** -2) % 1], abs=1e-15)
+    for n in range(3, 15):
+        phi = 2.0
+        for _ in range(200):  # Roberts' fixed-point iteration, with libm powers
+            phi = (1 + phi) ** (1 / (n + 1))
+        for k in (1, 2, 97):
+            assert _r_sequence(k, n) == pytest.approx(
+                [(0.5 + k * phi ** -(j + 1)) % 1 for j in range(n)], abs=1e-12)
+    # bit for bit: the points use no libm call, so they hold on every platform
+    assert _r_sequence(1, 4) == [0.35667488385450286, 0.23389185662712597,
+                                 0.12870672103780856, 0.03859725722360996]
+    assert _r_sequence(2, 4) == [0.2133497677090057, 0.9677837132542519,
+                                 0.7574134420756171, 0.5771945144472199]
+
+
+def test_fixed_starts_lie_in_bounds_and_never_repeat():
+    """Restarts 0-3 start at `_CORNERS`, later ones at R-sequence points:
+    inside the granular bounds, on a degenerate axis too, and all distinct."""
     for m in range(2, 8):
         prob = _stages_problem(m)
         lo_g, hi_g = _granular_bounds(prob)
         lo_d, hi_d = zip(*prob.depth_bounds)
         assert any(a == b for a, b in zip(lo_g, hi_g)) and lo_d[1] == hi_d[1]
-        for restart in [*range(3, 16), 2**33]:
-            rng = np.random.default_rng([seed, restart])
-            want = rng.uniform(lo_g, hi_g).tolist(), rng.uniform(lo_d, hi_d).tolist()
-            assert _start_point(prob, restart, seed) == want
+        starts = [_start_point(prob, r) for r in range(64)]
+        assert starts[:4] == [(tuple(map(float, w)), tuple(map(float, d))) for w, d in (
+            (hi_g, hi_d), (lo_g, hi_d),
+            ([(a + b) / 2 for a, b in zip(lo_g, hi_g)], [(a + b) / 2 for a, b in zip(lo_d, hi_d)]),
+            (hi_g, lo_d))]
+        for widths, depths in starts:
+            assert all(a <= w <= b for a, w, b in zip(lo_g, widths, hi_g))
+            assert all(a <= d <= b for a, d, b in zip(lo_d, depths, hi_d))
+        assert len(set(starts)) == len(starts)
+        u = _r_sequence(1, 2 * m)
+        assert starts[4] == tuple(
+            tuple(a + (b - a) * t for a, b, t in zip(lo, hi, part))
+            for lo, hi, part in ((lo_g, hi_g, u[:m]), (lo_d, hi_d, u[m:])))
 
 
 def test_solve_is_deterministic():
@@ -594,6 +621,15 @@ def test_solve_is_deterministic():
     b = solve(prob, SolveOptions(seed=5))
     assert a.best == b.best and a.objective == b.objective
     assert a.evaluations == b.evaluations
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solve_ignores_the_seed(threads):
+    prob = tiny_problem(13, family=1)
+    reports = [dataclasses.replace(solve(prob, SolveOptions(seed=seed, threads=threads,
+                                                            trace=True)), wall_time=0.0)
+               for seed in (0, 5, 2**40)]
+    assert reports[0].trace and reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("threads", [2, 3, 4])
@@ -619,10 +655,10 @@ def test_every_restart_runs_once_with_more_workers_than_cores(monkeypatch, tmp_p
     # a lost update of the claim token would run one restart twice
     log, run = tmp_path / "claims", solver_module._run_restart
 
-    def logged(prob, opts, conventions, restart, cap):
+    def logged(prob, conventions, restart, cap):
         with open(log, "a") as f:  # appends of one short line do not interleave
             f.write(f"{restart}\n")
-        return run(prob, opts, conventions, restart, cap)
+        return run(prob, conventions, restart, cap)
 
     monkeypatch.setattr(solver_module, "_run_restart", logged)
     signal.alarm(60)
@@ -641,13 +677,13 @@ def _failing_restart(monkeypatch, fails):
     restarts the caller runs sleep first, so the child claims one."""
     caller, run = os.getpid(), solver_module._run_restart
 
-    def patched(prob, opts, conventions, restart, cap):
+    def patched(prob, conventions, restart, cap):
         if os.getpid() == caller:
             time.sleep(0.2)
         exc = fails(restart)
         if exc is not None:
             raise exc
-        return run(prob, opts, conventions, restart, cap)
+        return run(prob, conventions, restart, cap)
 
     monkeypatch.setattr(solver_module, "_run_restart", patched)
 
@@ -762,6 +798,26 @@ def test_solve_infeasible_reports_binding_constraint(seed):
     assert rep.infeasibility == err.value.binding
 
 
+def test_unproven_infeasibility_is_not_named(monkeypatch):
+    """rho alone binds at the cheapest point, which proves nothing: one
+    restart finds no feasible point without spending its budget, and a
+    feasible design exists.  The cheapest-point probe is counted."""
+    prob = tiny_problem(49, family=1)
+    prob = dataclasses.replace(prob, rho0=0.5 * evaluate(_cheapest(prob), prob).rho)
+    assert brute_force(prob)[0] == Candidate((56, 56), (2, 1))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr("entromax.solver.evaluate", counting)
+    rep = solve(prob, SolveOptions(restarts=1))
+    assert not rep.feasible and rep.best is None
+    assert rep.infeasibility is None and not rep.budget_exhausted
+    assert rep.evaluations == len(calls) == 5 and calls[-1] == _cheapest(prob)
+
+
 def test_max_evals_one_returns_flagged():
     prob = tiny_problem(5)
     rep = solve(prob, SolveOptions(seed=0, max_evals=1))
@@ -826,20 +882,20 @@ def test_every_counted_evaluation_calls_module_evaluate(case, monkeypatch):
     assert len(calls) == rep.evaluations > 0
 
 
-# widths, depths, evaluations and evaluations per restart of seed-0 traced
+# widths, depths, evaluations and evaluations per restart of default traced
 # solves; the solver's memos must not move a trajectory, so these change
 # only with a declared change of design
 TRAJECTORIES = {
-    "tiny-0-1": ((24, 24, 24), (3, 3, 2), 247,
-                 (5, 5, 5, 25, 5, 63, 5, 25, 5, 22, 5, 77)),
-    "tiny-1-27": ((64, 64), (5, 4), 577,  # residual
-                  (4, 4, 4, 77, 4, 133, 4, 117, 4, 87, 4, 135)),
-    "tiny-1-3": ((32, 48), (7, 6), 1032,  # the params budget binds
-                 (25, 25, 25, 140, 46, 171, 25, 158, 97, 121, 52, 147)),
+    "tiny-0-1": ((24, 24, 24), (3, 3, 2), 243,
+                 (5, 5, 5, 47, 5, 66, 5, 35, 5, 30, 5, 30)),
+    "tiny-1-27": ((64, 64), (5, 4), 454,  # residual
+                  (4, 4, 4, 51, 4, 71, 4, 95, 4, 101, 4, 108)),
+    "tiny-1-3": ((32, 48), (7, 6), 871,  # the params budget binds
+                 (25, 25, 25, 158, 41, 85, 41, 129, 85, 97, 47, 113)),
     "resnet18_scale": ((24, 32, 88, 136), (17, 17, 20, 18), 2818,
                        (250, 250, 68, 250, 250, 250, 250, 250, 250, 250, 250, 250)),
-    "mobilenet_scale": ((8, 32, 48, 64, 136, 144, 360), (1, 1, 1, 1, 1, 3, 1), 2869,
-                        (250, 250, 186, 243, 250, 190, 250, 250, 250, 250, 250, 250)),
+    "mobilenet_scale": ((8, 32, 48, 64, 136, 144, 360), (1, 1, 1, 1, 1, 3, 1), 2874,
+                        (250, 250, 186, 250, 250, 219, 250, 250, 250, 234, 250, 235)),
 }
 
 
@@ -847,10 +903,10 @@ TRAJECTORIES = {
 # continuous endpoints and penalty weight mu, so the relaxed ascent's float
 # path is pinned bit for bit (a different libm `log` or `exp` may move it)
 TRACE_DIGESTS = {
-    "tiny-0-1": "3129fb21876e83ca1b141c3f314ce3dd6097551d3409d598daa83ba0719d5cd8",
-    "tiny-1-27": "88e38a86690fc86f97815433c454a1c7473d91ce22b26f7ac114c3ba2d003bcd",
-    "tiny-1-3": "cca77e39204265bceacd4fcea928ba012b7292c338c103473cb6ad41c10a8664",
-    "resnet18_scale": "16bc8e188c98f013991fd3906d69aa40ae50fd3435e2a7561170f48554bc56dd",
+    "tiny-0-1": "3deb05f6b4f93253599527c8a56f68b8a9f97f1dc801d36559a00599d12de3e1",
+    "tiny-1-27": "45c2fa88ea0437e7199c4bb83d2281722417288d6a5f1fb432b67ff99163fae3",
+    "tiny-1-3": "07197829373b2310dbc52a662261334a42fcffa04d6bbb6eb59626a8436ce57e",
+    "resnet18_scale": "9c9a5826212c9b3df2e67943b0f2d1ae20d0727aa35c0b065f58e3410324383b",
 }
 
 
@@ -1031,14 +1087,12 @@ def test_relaxed_costs_do_not_leak_into_exact_evaluations(block, groups):
     assert evaluate(cand, dataclasses.replace(prob)) == fresh
 
 
-@pytest.mark.xfail(strict=True, reason="polish misses the argmax; [block-polish] is the "
-                   "planned fix; oracle-tiny fails on it at seeds 29, 36, 42, 56, 102, "
-                   "104, 113, 211, 304, 328, 402, 407 and 410")
 def test_solve_finds_the_argmax_that_its_polish_cannot_reach():
-    """A family-1 instance whose polish stops at widths (40, 48), below the
-    brute-force argmax at widths (32, 64) with the same depths (8, 4)."""
+    """A family-1 instance with a local optimum at widths (40, 48), depths
+    (8, 4), which no polish move leaves, below the brute-force argmax at
+    widths (32, 64) with the same depths."""
     prob = tiny_problem(13, family=1)
     cand, ev = brute_force(prob)
-    rep = solve(prob, SolveOptions(seed=42000083))
+    rep = solve(prob)
     assert rep.best == cand
     assert rep.objective == ev.objective
