@@ -623,6 +623,23 @@ def test_solve_is_deterministic():
     assert a.evaluations == b.evaluations
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 - 5,
+                                  (2**32 - 1) * 1000 + 7, (2**32 - 1) * 601 + 3])
+def test_random_starts_reproduce_numpy_draws(seed):
+    """Restarts 3 and up once started at `default_rng([seed, restart])` draws.
+    Now each seed that stream was pinned at, up to 130 bits, is accepted and
+    gives seed 0's solve through 16 restarts: the corners and R-sequence points."""
+    prob = tiny_problem(4)
+
+    def run(s):
+        return dataclasses.replace(solve(prob, SolveOptions(seed=s, restarts=16, trace=True)),
+                                   wall_time=0.0)
+
+    report = run(seed)
+    assert report.trace and report == run(0)
+    assert [note["restart"] for note in report.trace] == list(range(16))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_solve_ignores_the_seed(threads):
     prob = tiny_problem(13, family=1)
